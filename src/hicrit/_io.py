@@ -1,14 +1,17 @@
-"""CSV/text ingestion with schema validation and cell-level error reporting.
+"""CSV/text ingestion with schema validation and cell-level error reporting,
+plus the atomic CSV writer behind the on-disk caches.
 
-Row numbers in error messages are 1-based file line numbers (the header is
-line 1). All schemas reject NaN/Inf and non-numeric cells.
+Row numbers in error messages are 1-based file line numbers (blank lines
+count). All schemas reject NaN/Inf and non-numeric cells.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -21,7 +24,7 @@ __all__ = [
     "ingest_labeled",
     "ingest_plain",
     "ingest_pairs",
-    "ingest_matrix",
+    "write_csv_atomic",
 ]
 
 
@@ -36,8 +39,10 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 
 def _read_csv(path):
+    """Non-blank CSV rows, each paired with its file line number."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ValidationError(f"{path}: empty file")
     return rows
@@ -45,29 +50,32 @@ def _read_csv(path):
 
 def ingest_pvalues(path, column=None) -> PValueSeries:
     """P-values from a one-value-per-line text file or a named CSV column."""
-    values = []
     if column is None:
+        column = "pvalue"
         with open(path) as fh:
-            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
-        if not lines:
+            cells = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
+        if not cells:
             raise ValidationError(f"{path}: empty file")
-        for i, text in lines:
-            values.append(_parse_cell(text, i, "pvalue"))
     else:
         rows = _read_csv(path)
-        header = [h.strip() for h in rows[0]]
+        line, header = rows[0]
+        header = [h.strip() for h in header]
         if column not in header:
-            raise ValidationError(f"column {column!r} not found in header {header}", row=1)
+            raise ValidationError(f"column {column!r} not found in header {header}", row=line)
         j = header.index(column)
         if len(rows) < 2:
-            raise ValidationError(f"{path}: no data rows", row=1)
-        for i, row in enumerate(rows[1:], start=2):
+            raise ValidationError(f"{path}: no data rows", row=line)
+        cells = []
+        for i, row in rows[1:]:
             if j >= len(row):
                 raise ValidationError("missing cell", row=i, column=column)
-            values.append(_parse_cell(row[j], i, column))
-    for i, v in enumerate(values):
+            cells.append((i, row[j]))
+    values = []
+    for i, text in cells:
+        v = _parse_cell(text, i, column)
         if not 0.0 < v <= 1.0:
-            raise ValidationError(f"P-value {v} outside (0, 1]", row=i + 1)
+            raise ValidationError(f"P-value {v} outside (0, 1]", row=i, column=column)
+        values.append(v)
     return PValueSeries.from_unsorted(values)
 
 
@@ -79,16 +87,17 @@ def ingest_labeled(path, warn=None) -> LabeledMatrix:
     """
     warn = warn or (lambda msg: print(f"warning: {msg}", file=sys.stderr))
     rows = _read_csv(path)
-    header = [h.strip() for h in rows[0]]
+    line, header = rows[0]
+    header = [h.strip() for h in header]
     if not header or header[0].lower() != "label":
-        raise ValidationError(f"first column must be 'label', got {header[:1]}", row=1)
+        raise ValidationError(f"first column must be 'label', got {header[:1]}", row=line)
     names = header[1:]
     if not names:
-        raise ValidationError("no feature columns", row=1)
+        raise ValidationError("no feature columns", row=line)
     if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows", row=1)
+        raise ValidationError(f"{path}: no data rows", row=line)
     labels, data = [], []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(header):
             raise ValidationError(f"expected {len(header)} cells, got {len(row)}", row=i)
         labels.append(_parse_cell(row[0], i, "label"))
@@ -109,11 +118,12 @@ def ingest_labeled(path, warn=None) -> LabeledMatrix:
 def ingest_plain(path):
     """Numeric matrix with a header row; returns (matrix, column names)."""
     rows = _read_csv(path)
-    header = [h.strip() for h in rows[0]]
+    line, header = rows[0]
+    header = [h.strip() for h in header]
     if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows", row=1)
+        raise ValidationError(f"{path}: no data rows", row=line)
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(header):
             raise ValidationError(f"expected {len(header)} cells, got {len(row)}", row=i)
         data.append([_parse_cell(cell, i, header[j]) for j, cell in enumerate(row)])
@@ -132,14 +142,19 @@ def ingest_pairs(path):
     return matrix[:, ix], matrix[:, iy]
 
 
-def ingest_matrix(path, schema: str, **kwargs):
-    """Schema dispatcher: 'pvalues', 'labeled', 'plain', or 'pairs'."""
-    if schema == "pvalues":
-        return ingest_pvalues(path, **kwargs)
-    if schema == "labeled":
-        return ingest_labeled(path, **kwargs)
-    if schema == "plain":
-        return ingest_plain(path, **kwargs)
-    if schema == "pairs":
-        return ingest_pairs(path, **kwargs)
-    raise ValidationError(f"unknown schema {schema!r}")
+def write_csv_atomic(path, header, rows) -> None:
+    """Replace ``path`` with a CSV of ``header`` and ``rows`` in one atomic rename.
+
+    Readers see the old file or the new one, never a partial write.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -10,14 +10,13 @@ column) supplies P-values for HC scores on real labeled matrices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import calibrate, hct
+from . import _streams, calibrate, hct
 from .errors import InvalidInputError
 from .hc_core import PValueSeries, hc_plus, hc_scores_sorted_batch, hc_star
 from .numerics import RngSeed, as_generator, clamp_pvalues
@@ -119,38 +118,19 @@ def pvalues_two_sided(x) -> PValueSeries:
     return PValueSeries(np.sort(clamp_pvalues(2.0 * ndtr(-np.abs(x)))))
 
 
-def _mixture_stream_scores(args) -> np.ndarray:
-    n, eps, tau, variant, alpha0, reps, seed, stream_id = args
-    rng = RngSeed(seed, stream_id).generator()
-    out = np.empty(reps)
-    batch = max(1, calibrate._BATCH_ELEMS // n)
-    done = 0
-    while done < reps:
-        b = min(batch, reps - done)
-        x = rng.standard_normal((b, n))
-        if eps > 0.0:
-            x += tau * (rng.random((b, n)) < eps)
-        p = clamp_pvalues(ndtr(-x))
-        p.sort(axis=-1)
-        out[done:done + b] = hc_scores_sorted_batch(p, variant, alpha0)
-        done += b
-    return out
+def _mixture_batch(params, b: int, rng) -> np.ndarray:
+    n, eps, tau, variant, alpha0 = params
+    x = rng.standard_normal((b, n))
+    if eps > 0.0:
+        x += tau * (rng.random((b, n)) < eps)
+    p = clamp_pvalues(ndtr(-x))
+    p.sort(axis=-1)
+    return hc_scores_sorted_batch(p, variant, alpha0)
 
 
 def _mixture_scores(n, eps, tau, variant, alpha0, reps, seed, stream_base, n_jobs) -> np.ndarray:
-    tasks = []
-    stream_id, left = stream_base, reps
-    while left > 0:
-        chunk = min(calibrate.STREAM_BLOCK, left)
-        tasks.append((n, eps, tau, variant, alpha0, chunk, seed, stream_id))
-        stream_id += 1
-        left -= chunk
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(_mixture_stream_scores, tasks, chunksize=1))
-    else:
-        parts = [_mixture_stream_scores(t) for t in tasks]
-    return np.concatenate(parts)
+    return _streams.run(_mixture_batch, (n, eps, tau, variant, alpha0), reps,
+                        calibrate.STREAM_BLOCK, n, RngSeed(seed, stream_base), n_jobs)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,6 @@ Two routes: the Gumbel-limit closed form (cheap, accurate for the plus
 variant at large N) and seeded Monte Carlo under the uniform null (the
 reference, reproducing the usual simulated tables). Simulated quantiles are
 persisted in a small CSV cache so they are paid for once.
-
-Simulation is partitioned into fixed-size replicate blocks, each owning an
-independent counter-based RNG stream, so results are bit-identical no matter
-how many worker processes are used.
 """
 
 from __future__ import annotations
@@ -15,13 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _streams
+from ._io import write_csv_atomic
 from .errors import CacheMissError, InvalidInputError
 from .hc_core import PValueSeries, hc_plus, hc_scores_sorted_batch, hc_star
 from .numerics import RNG_VERSION, RngSeed
@@ -32,6 +28,7 @@ __all__ = [
     "simulate_null_scores",
     "simulate_critical",
     "empirical_quantile",
+    "resolve_critical",
     "critical_value",
     "level_alpha_test",
     "load_cache",
@@ -42,10 +39,8 @@ __all__ = [
 # simulated score) does not depend on the worker count.
 STREAM_BLOCK = 512
 
-# Cap on elements materialized per batch inside one stream (~100 MB).
-_BATCH_ELEMS = 12_500_000
-
-CACHE_HEADER = ["N", "alpha", "variant", "alpha0", "replicates", "seed", "rng_version", "quantile"]
+CACHE_HEADER = ["N", "alpha", "variant", "alpha0", "replicates", "seed", "stream_id",
+                "rng_version", "quantile"]
 
 
 @dataclass(frozen=True)
@@ -78,21 +73,13 @@ def gumbel_critical(N: int, alpha: float) -> float:
     return (c - math.log(math.log(1.0 / (1.0 - alpha)))) / b
 
 
-def _stream_scores(args) -> np.ndarray:
-    N, variant, alpha0, reps, seed, stream_id = args
-    rng = RngSeed(seed, stream_id).generator()
-    out = np.empty(reps)
-    batch = max(1, _BATCH_ELEMS // N)
-    done = 0
-    while done < reps:
-        b = min(batch, reps - done)
-        p = rng.random((b, N))
-        p.sort(axis=-1)
-        # rng.random lives in [0, 1): shift exact zeros up to the clamp floor.
-        np.maximum(p, 1e-300, out=p)
-        out[done:done + b] = hc_scores_sorted_batch(p, variant, alpha0)
-        done += b
-    return out
+def _null_batch(params, b: int, rng) -> np.ndarray:
+    N, variant, alpha0 = params
+    p = rng.random((b, N))
+    p.sort(axis=-1)
+    # rng.random lives in [0, 1): shift exact zeros up to the clamp floor.
+    np.maximum(p, 1e-300, out=p)
+    return hc_scores_sorted_batch(p, variant, alpha0)
 
 
 def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
@@ -106,19 +93,8 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
     base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-    tasks = []
-    stream_id, left = base.stream_id, replicates
-    while left > 0:
-        reps = min(STREAM_BLOCK, left)
-        tasks.append((N, variant, alpha0, reps, base.seed, stream_id))
-        stream_id += 1
-        left -= reps
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(_stream_scores, tasks, chunksize=1))
-    else:
-        parts = [_stream_scores(t) for t in tasks]
-    return np.concatenate(parts)
+    return _streams.run(_null_batch, (N, variant, alpha0), replicates, STREAM_BLOCK, N,
+                        base, n_jobs)
 
 
 def empirical_quantile(scores: np.ndarray, alpha: float) -> float:
@@ -147,6 +123,7 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
 # Cache file: CSV, append-by-rewrite with atomic replace.
 
 def load_cache(path) -> list[CriticalValueEntry]:
+    """Stored entries; files written before stream ids were recorded read as stream 0."""
     if not os.path.exists(path):
         return []
     entries = []
@@ -158,72 +135,62 @@ def load_cache(path) -> list[CriticalValueEntry]:
                 variant=row["variant"],
                 alpha0=float(row["alpha0"]),
                 replicates=int(row["replicates"]),
-                seed=RngSeed(int(row["seed"])),
+                seed=RngSeed(int(row["seed"]), int(row.get("stream_id") or 0)),
                 quantile=float(row["quantile"]),
                 rng_version=row["rng_version"],
             ))
     return entries
 
 
-def _write_cache(path, entries) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CACHE_HEADER)
-            for e in entries:
-                w.writerow([e.N, repr(e.alpha), e.variant, repr(e.alpha0),
-                            e.replicates, e.seed.seed, e.rng_version, repr(e.quantile)])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def append_cache_entry(path, entry: CriticalValueEntry) -> None:
     entries = load_cache(path)
     entries.append(entry)
-    _write_cache(path, entries)
+    write_csv_atomic(path, CACHE_HEADER, [
+        [e.N, repr(e.alpha), e.variant, repr(e.alpha0), e.replicates, e.seed.seed,
+         e.seed.stream_id, e.rng_version, repr(e.quantile)] for e in entries])
 
 
-def _cache_lookup(entries, N, alpha, variant, alpha0, min_replicates):
-    for e in entries:
-        if (e.N == N and e.alpha == alpha and e.variant == variant
-                and e.alpha0 == alpha0 and e.replicates >= min_replicates
-                and e.rng_version == RNG_VERSION):
-            return e
-    return None
+def resolve_critical(N: int, alpha: float, variant: str = "plus",
+                     policy: str = "gumbel_fallback", alpha0: float = 0.5,
+                     replicates: int = 10_000, seed: int | RngSeed = 0,
+                     cache_path: Optional[str] = None, n_jobs: int = 1,
+                     ) -> tuple[float, str, Optional[CriticalValueEntry]]:
+    """Resolve a critical value through the cache: (value, source, entry).
 
-
-def critical_value(N: int, alpha: float, variant: str = "plus", policy: str = "gumbel_fallback",
-                   alpha0: float = 0.5, replicates: int = 10_000, seed: int | RngSeed = 0,
-                   cache_path: Optional[str] = None, n_jobs: int = 1) -> float:
-    """Resolve a critical value through the cache.
-
-    policy 'cache_only' raises CacheMissError on a miss; 'simulate_if_missing'
-    simulates, stores, and returns; 'gumbel_fallback' returns the closed form
-    on a miss without touching the cache. Hits require an exact
-    (N, alpha, variant, alpha0) match with at least ``replicates`` stored
-    replicates under the current RNG version.
+    source is 'cache', 'gumbel' or 'simulated'; entry is the cached or newly
+    simulated record, None for the closed form. policy 'cache_only' raises
+    CacheMissError on a miss; 'simulate_if_missing' simulates, stores, and
+    returns; 'gumbel_fallback' returns the closed form on a miss without
+    touching the cache. Hits require an exact (N, alpha, variant, alpha0)
+    match with at least ``replicates`` stored replicates under the current
+    RNG version.
     """
     if policy not in ("cache_only", "simulate_if_missing", "gumbel_fallback"):
         raise InvalidInputError(f"unknown policy {policy!r}")
     entries = load_cache(cache_path) if cache_path else []
-    hit = _cache_lookup(entries, N, float(alpha), variant, float(alpha0), replicates)
+    wanted = (N, float(alpha), variant, float(alpha0), RNG_VERSION)
+    hit = next((e for e in entries if e.replicates >= replicates
+                and (e.N, e.alpha, e.variant, e.alpha0, e.rng_version) == wanted), None)
     if hit is not None:
-        return hit.quantile
+        return hit.quantile, "cache", hit
     if policy == "cache_only":
         raise CacheMissError(
             f"no cached critical value for N={N} alpha={alpha} variant={variant} "
             f"alpha0={alpha0} replicates>={replicates}")
     if policy == "gumbel_fallback":
-        return gumbel_critical(N, alpha)
+        return gumbel_critical(N, alpha), "gumbel", None
     entry = simulate_critical(N, alpha, variant, alpha0, replicates, seed, n_jobs=n_jobs)
     if cache_path:
         append_cache_entry(cache_path, entry)
-    return entry.quantile
+    return entry.quantile, "simulated", entry
+
+
+def critical_value(N: int, alpha: float, variant: str = "plus", policy: str = "gumbel_fallback",
+                   alpha0: float = 0.5, replicates: int = 10_000, seed: int | RngSeed = 0,
+                   cache_path: Optional[str] = None, n_jobs: int = 1) -> float:
+    """The value alone; see resolve_critical for the policies and cache hits."""
+    return resolve_critical(N, alpha, variant, policy, alpha0, replicates, seed,
+                            cache_path, n_jobs)[0]
 
 
 def level_alpha_test(series: PValueSeries, critical, variant: str = "plus",

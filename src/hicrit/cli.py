@@ -145,31 +145,14 @@ def _cmd_score(args, fmt):
 
 
 def _cmd_calibrate(args, fmt):
-    cache = args.cache or _default_critical_cache()
-    entries = calibrate.load_cache(cache) if cache else []
-    hit = calibrate._cache_lookup(entries, args.n, args.alpha, args.variant,
-                                  args.alpha0, args.reps)
-    if hit is not None:
-        _emit([("critical", hit.quantile), ("source", "cache"), ("N", hit.N),
-               ("alpha", hit.alpha), ("variant", hit.variant), ("alpha0", hit.alpha0),
-               ("replicates", hit.replicates)], fmt)
-        return
-    if args.policy == "cache_only":
-        raise CacheMissError(
-            f"no cached critical value for N={args.n} alpha={args.alpha} "
-            f"variant={args.variant} alpha0={args.alpha0} replicates>={args.reps}")
-    if args.policy == "gumbel_fallback":
-        _emit([("critical", calibrate.gumbel_critical(args.n, args.alpha)),
-               ("source", "gumbel"), ("N", args.n), ("alpha", args.alpha),
-               ("variant", args.variant), ("alpha0", args.alpha0)], fmt)
-        return
-    entry = calibrate.simulate_critical(args.n, args.alpha, args.variant, args.alpha0,
-                                        args.reps, args.seed, n_jobs=args.threads)
-    if cache:
-        calibrate.append_cache_entry(cache, entry)
-    _emit([("critical", entry.quantile), ("source", "simulated"), ("N", entry.N),
-           ("alpha", entry.alpha), ("variant", entry.variant), ("alpha0", entry.alpha0),
-           ("replicates", entry.replicates)], fmt)
+    value, source, entry = calibrate.resolve_critical(
+        args.n, args.alpha, args.variant, args.policy, args.alpha0, args.reps, args.seed,
+        args.cache or _default_critical_cache(), n_jobs=args.threads)
+    fields = [("critical", value), ("source", source), ("N", args.n), ("alpha", args.alpha),
+              ("variant", args.variant), ("alpha0", args.alpha0)]
+    if entry is not None:
+        fields.append(("replicates", entry.replicates))
+    _emit(fields, fmt)
 
 
 def _cmd_detect_sim(args, fmt):
@@ -216,22 +199,17 @@ def _cmd_select(args, fmt):
 
 
 def _load_test_matrix(path):
+    """Sample rows of a labeled matrix (labels ignored) or of a plain one."""
     with open(path, newline="") as fh:
         first = fh.readline()
     if first.split(",")[0].strip().lower() == "label":
-        return ingest_labeled(path)
-    data, names = ingest_plain(path)
-    return None, data, names
+        return ingest_labeled(path).data
+    return ingest_plain(path)[0]
 
 
 def _cmd_classify(args, fmt):
     model = hct.load_model(args.model)
-    loaded = _load_test_matrix(args.test)
-    if isinstance(loaded, hct.LabeledMatrix):
-        data = loaded.data
-    else:
-        data = loaded[1]
-    scores = hct.decision_scores(model, data)
+    scores = hct.decision_scores(model, _load_test_matrix(args.test))
     preds = np.where(scores >= 0.0, 1, -1)
     rows = [(i + 1, int(preds[i]), scores[i]) for i in range(len(scores))]
     if args.out:
@@ -431,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho", type=float, default=0.0)
     s.add_argument("--reps", type=int, default=100)
     s.add_argument("--alpha0", type=float, default=0.5)
-    s.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (required with --simulate)")
+    s.add_argument("--seed", type=int, help="RNG seed (required with --simulate)")
     s.add_argument("--trace", help="write per-k component trace CSV here")
     s.add_argument("--out", help="write per-rep score CSV here (simulate mode)")
     _add_common(s)
@@ -453,6 +430,8 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.subcommand == "pairs" and args.simulate and args.seed is None:
+            parser.error("pairs --simulate requires --seed")
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _streams
+from ._io import write_csv_atomic
 from .errors import InvalidInputError
 from .hc_core import HcResult, PValueSeries, ohc_plus_band
 from .numerics import RNG_VERSION, RngSeed, as_generator, clamp_pvalues, student_t_cdf, student_t_sf
@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 _RHO_EPS = 1e-15
-_PROFILE_HEADER = ["n", "p", "replicates", "seed", "rng_version", "rank", "mean", "sd"]
+_PROFILE_HEADER = ["n", "p", "replicates", "seed", "stream_id", "rng_version", "rank", "mean",
+                   "sd"]
 _PROFILE_STREAM_BLOCK = 64
 
 
@@ -197,12 +198,10 @@ class EigenNullProfile:
         return int(self.means.size)
 
 
-def _profile_stream(args) -> np.ndarray:
-    n, p, reps, seed, stream_id = args
-    rng = RngSeed(seed, stream_id).generator()
-    m = min(n, p)
-    out = np.empty((reps, m))
-    for i in range(reps):
+def _profile_batch(params, b: int, rng) -> np.ndarray:
+    n, p = params
+    out = np.empty((b, min(n, p)))
+    for i in range(b):
         out[i] = _sorted_eigenvalues(rng.standard_normal((n, p)))
     return out
 
@@ -215,19 +214,8 @@ def eigen_null_profile(n: int, p: int, replicates: int = 500, seed=0,
     if n < 2 or p < 2:
         raise InvalidInputError(f"need n, p >= 2, got n={n}, p={p}")
     base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-    tasks = []
-    stream_id, left = base.stream_id, replicates
-    while left > 0:
-        reps = min(_PROFILE_STREAM_BLOCK, left)
-        tasks.append((n, p, reps, base.seed, stream_id))
-        stream_id += 1
-        left -= reps
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(_profile_stream, tasks, chunksize=1))
-    else:
-        parts = [_profile_stream(t) for t in tasks]
-    eigs = np.concatenate(parts, axis=0)
+    eigs = _streams.run(_profile_batch, (n, p), replicates, _PROFILE_STREAM_BLOCK, n * p,
+                        base, n_jobs)
     return EigenNullProfile(n, p, eigs.mean(axis=0), eigs.std(axis=0, ddof=1),
                             replicates, base)
 
@@ -284,49 +272,46 @@ def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Profile cache: same CSV mechanism as the critical-value cache, one row per
-# eigenvalue rank.
+# Profile cache: one CSV row per eigenvalue rank, rewritten through the same
+# atomic writer as the critical-value cache. A profile is identified by
+# (n, p, replicates, seed, stream_id, rng_version); files written before
+# stream ids were recorded read as stream 0.
+
+def _profile_rows(path) -> list[dict]:
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["stream_id"] = row.get("stream_id") or "0"
+    return rows
+
+
+def _profile_key(row) -> tuple:
+    return (int(row["n"]), int(row["p"]), int(row["replicates"]), int(row["seed"]),
+            int(row["stream_id"]), row["rng_version"])
+
 
 def save_profile(path, profile: EigenNullProfile) -> None:
-    rows = []
-    if os.path.exists(path):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    for rank in range(profile.m):
-        rows.append({
-            "n": profile.n, "p": profile.p, "replicates": profile.replicates,
-            "seed": profile.seed.seed, "rng_version": profile.rng_version,
-            "rank": rank + 1, "mean": repr(float(profile.means[rank])),
-            "sd": repr(float(profile.sds[rank])),
-        })
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=_PROFILE_HEADER)
-            w.writeheader()
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Store ``profile``, replacing any stored rows with the same identity."""
+    key = (profile.n, profile.p, profile.replicates, profile.seed.seed,
+           profile.seed.stream_id, profile.rng_version)
+    rows = [[row[h] for h in _PROFILE_HEADER]
+            for row in _profile_rows(path) if _profile_key(row) != key]
+    rows += [[*key, rank + 1, repr(float(mean)), repr(float(sd))]
+             for rank, (mean, sd) in enumerate(zip(profile.means, profile.sds))]
+    write_csv_atomic(path, _PROFILE_HEADER, rows)
 
 
 def load_profile(path, n: int, p: int, min_replicates: int = 1) -> Optional[EigenNullProfile]:
     """Best stored profile for (n, p) with enough replicates, or None."""
-    if not os.path.exists(path):
-        return None
     groups = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if (int(row["n"]) == n and int(row["p"]) == p
-                    and row["rng_version"] == RNG_VERSION
-                    and int(row["replicates"]) >= min_replicates):
-                key = (int(row["replicates"]), int(row["seed"]))
-                groups.setdefault(key, []).append(row)
+    for row in _profile_rows(path):
+        row_n, row_p, reps, seed, stream_id, version = _profile_key(row)
+        if (row_n, row_p) == (n, p) and version == RNG_VERSION and reps >= min_replicates:
+            groups.setdefault((reps, seed, stream_id), []).append(row)
     best = None
-    for (reps, seed), rows in groups.items():
+    for (reps, seed, stream_id), rows in groups.items():
         if len(rows) != min(n, p):
             continue
         rows.sort(key=lambda r: int(r["rank"]))
@@ -334,7 +319,7 @@ def load_profile(path, n: int, p: int, min_replicates: int = 1) -> Optional[Eige
             n, p,
             np.array([float(r["mean"]) for r in rows]),
             np.array([float(r["sd"]) for r in rows]),
-            reps, RngSeed(seed))
+            reps, RngSeed(seed, stream_id))
         if best is None or prof.replicates > best.replicates:
             best = prof
     return best

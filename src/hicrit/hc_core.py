@@ -124,6 +124,41 @@ def _floor_index(alpha0: float, n: int) -> int:
     return int(math.floor(alpha0 * n + 1e-9))
 
 
+def _index_range(alpha0: float, n: int) -> int:
+    """k_max = floor(alpha0*N) for alpha0 in (0, 1], refusing an empty range."""
+    if not 0.0 < alpha0 <= 1.0:
+        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
+    k_max = _floor_index(alpha0, n)
+    if k_max < 1:
+        raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
+    return k_max
+
+
+def _components(p: np.ndarray, n: int) -> np.ndarray:
+    """Components i = 1..k of series of size n, given their k smallest P-values.
+
+    ``p`` is (k,) or (batch, k), one ascending row per series. The p = 1 rule
+    is the one documented on hc_components.
+    """
+    k = p.shape[-1]
+    i = np.arange(1, k + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp = math.sqrt(n) * (i / n - p) / np.sqrt(p * (1.0 - p))
+    at_one = p == 1.0
+    if at_one.any():
+        comp[at_one] = -np.inf
+        if k == n:
+            # p == 1 in the last slot means i/N == p == 1: a zero component.
+            comp[..., -1] = np.where(at_one[..., -1], 0.0, comp[..., -1])
+    return comp
+
+
+def _restrict_plus(comp: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Exclude (in place) the components with p_(i) <= 1/N: the plus variant's guard."""
+    comp[p <= 1.0 / n] = -np.inf
+    return comp
+
+
 def hc_components(series: SeriesLike) -> np.ndarray:
     """All N component scores sqrt(N)*(i/N - p_(i))/sqrt(p_(i)(1-p_(i))).
 
@@ -132,17 +167,7 @@ def hc_components(series: SeriesLike) -> np.ndarray:
     otherwise.
     """
     s = as_series(series)
-    p = s.values
-    n = s.n
-    i = np.arange(1, n + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comp = math.sqrt(n) * (i / n - p) / np.sqrt(p * (1.0 - p))
-    at_one = p == 1.0
-    if at_one.any():
-        comp = np.where(at_one, -np.inf, comp)
-        if at_one[-1]:
-            comp[-1] = 0.0
-    return comp
+    return _components(s.values, s.n)
 
 
 def hc_component(i: int, series: SeriesLike) -> float:
@@ -163,13 +188,8 @@ def _max_over(comp: np.ndarray, variant: str, alpha0: float) -> HcResult:
 def hc_star(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
     """Orthodox HC: max component over 1 <= i <= floor(alpha0*N)."""
     s = as_series(series)
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
-    k_max = _floor_index(alpha0, s.n)
-    if k_max < 1:
-        raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
-    comp = hc_components(s)[:k_max]
-    return _max_over(comp, "star", alpha0)
+    k_max = _index_range(alpha0, s.n)
+    return _max_over(_components(s.values[:k_max], s.n), "star", alpha0)
 
 
 def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
@@ -178,14 +198,8 @@ def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
     Returns score -inf with empty_range=True when no index qualifies.
     """
     s = as_series(series)
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
-    k_max = _floor_index(alpha0, s.n)
-    if k_max < 1:
-        raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
-    comp = hc_components(s)[:k_max]
-    comp = np.where(s.values[:k_max] > 1.0 / s.n, comp, -np.inf)
-    return _max_over(comp, "plus", alpha0)
+    p = s.values[:_index_range(alpha0, s.n)]
+    return _max_over(_restrict_plus(_components(p, s.n), p, s.n), "plus", alpha0)
 
 
 def ohc_plus_band(series: SeriesLike, p_min: Optional[float] = None, p_max: float = 0.5) -> HcResult:
@@ -250,9 +264,7 @@ def avg_likelihood_ratio(series: SeriesLike, alpha0: float = 0.5) -> float:
     n = s.n
     if n <= 3:
         raise InvalidInputError(f"ALR needs N >= 4 so that log(N/3) > 0, got N = {n}")
-    k_max = _floor_index(alpha0, n)
-    if k_max < 1:
-        raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
+    k_max = _index_range(alpha0, n)
     i = np.arange(1, k_max + 1, dtype=float)
     div = binomial_kl_array(s.values[:k_max], i / n)
     log_lr = n * np.maximum(div, 0.0)
@@ -339,18 +351,8 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     if variant not in ("star", "plus"):
         raise InvalidInputError(f"variant must be 'star' or 'plus', got {variant!r}")
     n = p.shape[1]
-    k_max = _floor_index(alpha0, n)
-    if k_max < 1:
-        raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
-    ps = p[:, :k_max]
-    i = np.arange(1, k_max + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comp = math.sqrt(n) * (i / n - ps) / np.sqrt(ps * (1.0 - ps))
-    if np.any(ps == 1.0):
-        comp = np.where(ps == 1.0, -np.inf, comp)
-        if k_max == n:
-            # p == 1 in the last slot means i/N == p == 1: a zero component.
-            comp[:, -1] = np.where(ps[:, -1] == 1.0, 0.0, comp[:, -1])
+    ps = p[:, :_index_range(alpha0, n)]
+    comp = _components(ps, n)
     if variant == "plus":
-        comp = np.where(ps > 1.0 / n, comp, -np.inf)
+        _restrict_plus(comp, ps, n)
     return comp.max(axis=1)

@@ -113,6 +113,11 @@ def feature_zscores(train_set: LabeledMatrix) -> ZScores:
     standardization divides by the sample standard deviation (p - 1
     denominator) of the raw scores.
     """
+    return _class_statistics(train_set)[0]
+
+
+def _class_statistics(train_set: LabeledMatrix) -> tuple[ZScores, np.ndarray]:
+    """feature_zscores together with the pooled within-class SDs s_j."""
     in1 = train_set.labels == 1
     in2 = train_set.labels == -1
     n1, n2 = int(in1.sum()), int(in2.sum())
@@ -134,7 +139,7 @@ def feature_zscores(train_set: LabeledMatrix) -> ZScores:
     sd_scale = float(raw.std(ddof=1)) if raw.size > 1 else 0.0
     if sd_scale <= 0.0:
         raise InvalidInputError("feature scores are degenerate: zero spread across features")
-    return ZScores(raw, (raw - mean_shift) / sd_scale, mean_shift, sd_scale)
+    return ZScores(raw, (raw - mean_shift) / sd_scale, mean_shift, sd_scale), s
 
 
 def _sorted_two_sided(z: ZScores):
@@ -201,23 +206,16 @@ class HctModel:
 
 def train(train_set: LabeledMatrix, alpha0: float = 0.10) -> HctModel:
     """Fit the HCT-LDA classifier on a labeled training matrix."""
-    z = feature_zscores(train_set)
+    z, pooled_sd = _class_statistics(train_set)
     threshold, hct_index = hct_threshold(z, alpha0)
     selected = np.abs(z.standardized) >= threshold
     weights = (np.sign(z.standardized) * selected).astype(np.int8)
-    in1 = train_set.labels == 1
-    in2 = train_set.labels == -1
-    n1, n2 = int(in1.sum()), int(in2.sum())
-    mean1 = train_set.data[in1].mean(axis=0)
-    mean2 = train_set.data[in2].mean(axis=0)
-    ss = (((train_set.data[in1] - mean1) ** 2).sum(axis=0)
-          + ((train_set.data[in2] - mean2) ** 2).sum(axis=0))
     return HctModel(
         weights=weights,
         threshold=threshold,
         hct_index=hct_index,
         feature_means=train_set.data.mean(axis=0),
-        feature_sds=np.sqrt(ss / (n1 + n2 - 2)),
+        feature_sds=pooled_sd,
         alpha0=float(alpha0),
         feature_names=list(train_set.feature_names),
     )
@@ -298,21 +296,43 @@ def save_model(model: HctModel, path) -> None:
 
 
 def load_model(path) -> HctModel:
+    """Read a model written by save_model; a malformed file raises InvalidInputError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: not a valid model JSON file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: model JSON must be an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InvalidInputError(f"unsupported model format_version {version!r}")
-    p = int(doc["p"])
-    weights = np.zeros(p, dtype=np.int8)
-    for j, w in doc["weights"].items():
-        weights[int(j)] = int(w)
-    return HctModel(
-        weights=weights,
-        threshold=float(doc["threshold"]),
-        hct_index=int(doc["hct_index"]),
-        feature_means=np.asarray(doc["feature_means"], dtype=float),
-        feature_sds=np.asarray(doc["feature_sds"], dtype=float),
-        alpha0=float(doc["alpha0"]),
-        feature_names=list(doc["feature_names"]),
-    )
+    try:
+        p = int(doc["p"])
+        weights = {int(j): int(w) for j, w in doc["weights"].items()}
+        model = dict(
+            threshold=float(doc["threshold"]),
+            hct_index=int(doc["hct_index"]),
+            feature_means=np.asarray(doc["feature_means"], dtype=float),
+            feature_sds=np.asarray(doc["feature_sds"], dtype=float),
+            alpha0=float(doc["alpha0"]),
+            feature_names=[str(name) for name in doc["feature_names"]],
+        )
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: model is missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed model field: {exc}") from None
+    if p < 1:
+        raise InvalidInputError(f"{path}: model p must be positive, got {p}")
+    for name in ("feature_means", "feature_sds", "feature_names"):
+        if np.shape(model[name]) != (p,):
+            raise InvalidInputError(
+                f"{path}: {name} must hold p = {p} entries, got shape {np.shape(model[name])}")
+    dense = np.zeros(p, dtype=np.int8)
+    for j, w in weights.items():
+        if not 0 <= j < p:
+            raise InvalidInputError(f"{path}: weight index {j} outside [0, {p - 1}]")
+        if w not in (-1, 1):
+            raise InvalidInputError(f"{path}: weight {j} must be -1 or +1, got {w}")
+        dense[j] = w
+    return HctModel(weights=dense, **model)

@@ -5,7 +5,8 @@ import pytest
 
 from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, critical_value,
                               empirical_quantile, gumbel_critical, level_alpha_test,
-                              load_cache, simulate_critical, simulate_null_scores)
+                              load_cache, resolve_critical, simulate_critical,
+                              simulate_null_scores)
 from hicrit.errors import CacheMissError, InvalidInputError
 from hicrit.hc_core import PValueSeries
 from hicrit.numerics import RngSeed
@@ -95,13 +96,21 @@ def test_empirical_size():
 
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "cache.csv"
-    entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(42), 3.14159265358979)
+    entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(42, 99), 3.14159265358979)
     append_cache_entry(path, entry)
     entries = load_cache(path)
     assert len(entries) == 1
     got = entries[0]
     assert got.quantile == entry.quantile  # bit-exact via repr round-trip
     assert got.N == 100 and got.seed.seed == 42 and got.replicates == 1000
+    assert got == entry  # the stream id survives too
+
+
+def test_cache_without_stream_column_reads_stream_zero(tmp_path):
+    path = tmp_path / "cache.csv"
+    path.write_text("N,alpha,variant,alpha0,replicates,seed,rng_version,quantile\n"
+                    "100,0.05,plus,0.5,1000,7,philox4x64-v1,3.5\n")
+    assert load_cache(path)[0].seed == RngSeed(7, 0)
 
 
 def test_critical_value_policies(tmp_path):
@@ -120,6 +129,10 @@ def test_critical_value_policies(tmp_path):
                         replicates=1000, seed=1, cache_path=path)
     assert v2 == v1
     assert len(load_cache(path)) == 1
+    assert resolve_critical(300, 0.05, "plus", "cache_only", replicates=1000,
+                            cache_path=path) == (v1, "cache", load_cache(path)[0])
+    assert resolve_critical(1000, 0.05, "plus", "gumbel_fallback",
+                            cache_path=path) == (value, "gumbel", None)
     # a hit requires enough stored replicates
     with pytest.raises(CacheMissError):
         critical_value(300, 0.05, "plus", "cache_only", replicates=5000, cache_path=path)

@@ -97,6 +97,43 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "row 2" in err and "g1" in err
 
 
+def test_validation_errors_name_file_lines(tmp_path, capsys):
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("name,p\na,0.5\nb,1.5\n")
+    code, _, err = run(capsys, "score", "--input", str(csv_path), "--column", "p")
+    assert code == 3
+    assert "outside (0, 1]" in err and "row 3" in err
+
+    txt_path = tmp_path / "p.txt"
+    txt_path.write_text("0.5\n\n\n1.5\n")
+    code, _, err = run(capsys, "score", "--input", str(txt_path))
+    assert code == 3
+    assert "outside (0, 1]" in err and "row 4" in err
+
+
+def test_malformed_model_exits_3(labeled_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "select", "--train", labeled_file, "--alpha0", "0.4",
+                     "--out", str(model))
+    assert code == 0
+    good = json.loads(model.read_text())
+    bad_models = {
+        "invalid": "{not json",
+        "incomplete": json.dumps({"format_version": 1, "p": 3}),
+        "short_means": json.dumps(dict(good, feature_means=good["feature_means"][:-1])),
+        "short_sds": json.dumps(dict(good, feature_sds=good["feature_sds"][1:])),
+        "short_names": json.dumps(dict(good, feature_names=good["feature_names"][:2])),
+        "weight_index": json.dumps(dict(good, weights={str(good["p"]): 1})),
+    }
+    for name, text in bad_models.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for sub in ("classify", "evaluate"):
+            code, _, err = run(capsys, sub, "--model", str(path), "--test", labeled_file)
+            assert code == 3, (name, sub, err)
+            assert err.startswith("error: ")
+
+
 def test_usage_exit_codes(capsys):
     assert dispatch(["bogus-subcommand"]) == 2
     capsys.readouterr()
@@ -261,6 +298,12 @@ def test_pairs_cli(tmp_path, capsys):
                        "--out", str(tmp_path / "sim.csv"))
     assert code == 0
     assert "median_score=" in output_lines(out)[0]
+
+
+def test_pairs_simulate_requires_seed(capsys):
+    code, out, err = run(capsys, "pairs", "--simulate", "--n", "50", "--reps", "2")
+    assert code == 2
+    assert "--seed" in err and "median_score" not in out
 
 
 def test_phase_cli(tmp_path, capsys):

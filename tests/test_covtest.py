@@ -188,6 +188,30 @@ def test_profile_cache_roundtrip(tmp_path):
     np.testing.assert_array_equal(again.means, profile.means)
 
 
+def test_profile_cache_keeps_identity(tmp_path):
+    path = str(tmp_path / "profiles.csv")
+    profile = eigen_null_profile(12, 8, replicates=100, seed=RngSeed(7, 99))
+    save_profile(path, profile)
+    save_profile(path, profile)  # the same profile again replaces its rows
+    loaded = load_profile(path, 12, 8)
+    assert loaded.seed == RngSeed(7, 99)
+    np.testing.assert_array_equal(loaded.means, profile.means)
+    np.testing.assert_array_equal(loaded.sds, profile.sds)
+    # another stream is another record; the one with more replicates wins
+    save_profile(path, eigen_null_profile(12, 8, replicates=120, seed=RngSeed(7, 0)))
+    assert len(open(path).read().strip().splitlines()) == 1 + 2 * 8
+    assert load_profile(path, 12, 8).seed == RngSeed(7, 0)
+
+
+def test_profile_cache_without_stream_column(tmp_path):
+    path = tmp_path / "profiles.csv"
+    rows = [f"3,2,100,7,philox4x64-v1,{r},1.5,0.5" for r in (1, 2)]
+    path.write_text("n,p,replicates,seed,rng_version,rank,mean,sd\n" + "\n".join(rows) + "\n")
+    loaded = load_profile(str(path), 3, 2)
+    assert loaded.seed == RngSeed(7, 0)
+    np.testing.assert_array_equal(loaded.means, [1.5, 1.5])
+
+
 def test_profile_determinism_and_jobs():
     a = eigen_null_profile(15, 10, replicates=128, seed=14)
     b = eigen_null_profile(15, 10, replicates=128, seed=14, n_jobs=2)

@@ -287,11 +287,19 @@ def test_bh_matches_oracle_random():
 
 def test_batch_kernel_matches_single_series():
     rng = np.random.default_rng(10)
-    p = np.sort(rng.uniform(1e-8, 1.0, (50, 40)), axis=-1)
-    for variant, fn in (("star", hc_star), ("plus", hc_plus)):
-        batch = hc_scores_sorted_batch(p, variant, 0.5)
-        for row, score in zip(p, batch):
-            assert score == pytest.approx(fn(PValueSeries(row), 0.5).score, rel=1e-12)
+    p = rng.uniform(1e-8, 1.0, (50, 40))
+    # Edge rows: P-values at or below 1/N, p = 1 inside and at the last slot.
+    p[0, :3] = [1e-300, 0.01, 1.0 / 40]
+    p[1, -5:] = 1.0
+    p[2, :] = 1.0
+    p[3, :] = rng.uniform(1e-6, 1.0 / 40, 40)
+    p[4, 10:] = 1.0
+    p = np.sort(p, axis=-1)
+    for alpha0 in (0.5, 1.0):
+        for variant, fn in (("star", hc_star), ("plus", hc_plus)):
+            batch = hc_scores_sorted_batch(p, variant, alpha0)
+            for row, score in zip(p, batch):
+                assert score == fn(PValueSeries(row), alpha0).score  # exact, not approx
 
 
 def test_batch_kernel_handles_p_equal_one():
