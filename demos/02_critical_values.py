@@ -4,15 +4,18 @@ Critical values for level-alpha HC testing
 
 Two ways to get h(N, alpha): the Gumbel-limit closed form (instant, good for
 the plus variant) and seeded Monte Carlo under the uniform null (the
-reference). Simulated values land in a CSV cache so they are computed once.
+reference). Simulated values land in a JSON-lines cache file, one record per
+value with the seed, stream and RNG version that produced it, so they are
+computed once.
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from hicrit.calibrate import (critical_value, empirical_quantile, gumbel_critical,
-                              level_alpha_test, simulate_null_scores)
+                              level_alpha_test, resolve_critical, simulate_null_scores)
 from hicrit.hc_core import PValueSeries
 
 # The closed form tracks the simulated plus-variant quantiles well; the star
@@ -33,12 +36,15 @@ for n in (1000, 5000, 25_000):
     print(f"  N = {n:>6}: {q:.2f}")
 
 # The cache-backed resolver: simulate once, hit forever after.
-with tempfile.NamedTemporaryFile(suffix=".csv") as tmp:
+with tempfile.TemporaryDirectory() as tmp:
+    cache = os.path.join(tmp, "cache.jsonl")
     first = critical_value(2000, 0.05, "plus", "simulate_if_missing",
-                           replicates=5000, seed=3, cache_path=tmp.name)
-    again = critical_value(2000, 0.05, "plus", "cache_only",
-                           replicates=5000, cache_path=tmp.name)
-    print(f"\nsimulated h(2000, 0.05) = {first:.3f}; cache hit returns {again:.3f}")
+                           replicates=5000, seed=3, cache_path=cache)
+    # A hit ignores the seed asked for; the entry records the one that was used.
+    again, source, entry = resolve_critical(2000, 0.05, "plus", "cache_only",
+                                            replicates=5000, seed=99, cache_path=cache)
+    print(f"\nsimulated h(2000, 0.05) = {first:.3f}; {source} hit returns {again:.3f} "
+          f"(seed {entry.seed.seed}, stream {entry.seed.stream_id}, {entry.rng_version})")
 
     # Using it as a test: reject when the statistic exceeds the critical value.
     rng = np.random.default_rng(4)

@@ -1,5 +1,4 @@
-"""CSV/text ingestion with schema validation and cell-level error reporting,
-plus the atomic CSV writer behind the on-disk caches.
+"""CSV/text ingestion with schema validation and cell-level error reporting.
 
 Row numbers in error messages are 1-based file line numbers (blank lines
 count). All schemas reject NaN/Inf and non-numeric cells.
@@ -9,9 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -24,7 +21,6 @@ __all__ = [
     "ingest_labeled",
     "ingest_plain",
     "ingest_pairs",
-    "write_csv_atomic",
 ]
 
 
@@ -141,20 +137,3 @@ def ingest_pairs(path):
         ix, iy = 0, 1
     return matrix[:, ix], matrix[:, iy]
 
-
-def write_csv_atomic(path, header, rows) -> None:
-    """Replace ``path`` with a CSV of ``header`` and ``rows`` in one atomic rename.
-
-    Readers see the old file or the new one, never a partial write.
-    """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -3,21 +3,19 @@
 Two routes: the Gumbel-limit closed form (cheap, accurate for the plus
 variant at large N) and seeded Monte Carlo under the uniform null (the
 reference, reproducing the usual simulated tables). Simulated quantiles are
-persisted in a small CSV cache so they are paid for once.
+persisted in the JSON-lines record store (``_store``) so they are paid for
+once.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _streams
-from ._io import write_csv_atomic
+from . import _store, _streams
 from .errors import CacheMissError, InvalidInputError
 from .hc_core import PValueSeries, hc_plus, hc_scores_sorted_batch, hc_star
 from .numerics import RNG_VERSION, RngSeed
@@ -38,9 +36,6 @@ __all__ = [
 # Replicates per RNG stream; fixed so the stream layout (and therefore every
 # simulated score) does not depend on the worker count.
 STREAM_BLOCK = 512
-
-CACHE_HEADER = ["N", "alpha", "variant", "alpha0", "replicates", "seed", "stream_id",
-                "rng_version", "quantile"]
 
 
 @dataclass(frozen=True)
@@ -120,34 +115,26 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
 
 
 # ---------------------------------------------------------------------------
-# Cache file: CSV, append-by-rewrite with atomic replace.
+# Cache: "critical_value" records in the shared record store.
+
+def _entry(rec) -> CriticalValueEntry:
+    prm = rec["params"]
+    return CriticalValueEntry(int(prm["N"]), float(prm["alpha"]), prm["variant"],
+                              float(prm["alpha0"]), rec["replicates"],
+                              RngSeed(rec["seed"], rec["stream_id"]), float(rec["value"]),
+                              rec["rng_version"])
+
 
 def load_cache(path) -> list[CriticalValueEntry]:
-    """Stored entries; files written before stream ids were recorded read as stream 0."""
-    if not os.path.exists(path):
-        return []
-    entries = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(CriticalValueEntry(
-                N=int(row["N"]),
-                alpha=float(row["alpha"]),
-                variant=row["variant"],
-                alpha0=float(row["alpha0"]),
-                replicates=int(row["replicates"]),
-                seed=RngSeed(int(row["seed"]), int(row.get("stream_id") or 0)),
-                quantile=float(row["quantile"]),
-                rng_version=row["rng_version"],
-            ))
-    return entries
+    """Stored critical values, in file order."""
+    return _store.read(path, "critical_value", _entry)
 
 
 def append_cache_entry(path, entry: CriticalValueEntry) -> None:
-    entries = load_cache(path)
-    entries.append(entry)
-    write_csv_atomic(path, CACHE_HEADER, [
-        [e.N, repr(e.alpha), e.variant, repr(e.alpha0), e.replicates, e.seed.seed,
-         e.seed.stream_id, e.rng_version, repr(e.quantile)] for e in entries])
+    """Store ``entry`` unless an entry with the same identity is already stored."""
+    params = {"N": int(entry.N), "alpha": float(entry.alpha), "variant": entry.variant,
+              "alpha0": float(entry.alpha0)}
+    _store.append(path, "critical_value", params, entry, float(entry.quantile))
 
 
 def resolve_critical(N: int, alpha: float, variant: str = "plus",
@@ -162,15 +149,14 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     CacheMissError on a miss; 'simulate_if_missing' simulates, stores, and
     returns; 'gumbel_fallback' returns the closed form on a miss without
     touching the cache. Hits require an exact (N, alpha, variant, alpha0)
-    match with at least ``replicates`` stored replicates under the current
-    RNG version.
+    match; among those, ``_store.best`` picks the hit. A hit is returned
+    whatever ``seed`` asks for: the entry names the seed that produced it.
     """
     if policy not in ("cache_only", "simulate_if_missing", "gumbel_fallback"):
         raise InvalidInputError(f"unknown policy {policy!r}")
-    entries = load_cache(cache_path) if cache_path else []
-    wanted = (N, float(alpha), variant, float(alpha0), RNG_VERSION)
-    hit = next((e for e in entries if e.replicates >= replicates
-                and (e.N, e.alpha, e.variant, e.alpha0, e.rng_version) == wanted), None)
+    wanted = (N, float(alpha), variant, float(alpha0))
+    hit = _store.best([e for e in (load_cache(cache_path) if cache_path else [])
+                       if (e.N, e.alpha, e.variant, e.alpha0) == wanted], replicates)
     if hit is not None:
         return hit.quantile, "cache", hit
     if policy == "cache_only":

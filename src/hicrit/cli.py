@@ -4,10 +4,12 @@ Subcommands: score, calibrate, detect-sim, permtest, select, classify,
 evaluate, cov-clique, cov-eigen, pairs, phase. Every randomized subcommand
 requires an explicit --seed; outputs are deterministic given the arguments,
 and each run ends with a single manifest line recording the parameters, seed,
-input digests and duration so it can be replayed bit-exactly.
+input digests and duration so it can be replayed bit-exactly; calibrate and
+cov-eigen add the seed, stream, replicates and RNG version of the value used.
 
-Exit codes: 0 success, 2 usage error, 3 input validation error, 4 cache miss
-under a cache-only policy.
+Exit codes: 0 success; 2 usage error, including a missing option pair; 3
+invalid input (a malformed data, model or cache file names its line) or an
+unusable file; 4 cache miss under the cache_only policy.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import time
 
 import numpy as np
 
-from . import __version__, arw, calibrate, covtest, hct, pairhc, phase
+from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
 from ._io import ingest_labeled, ingest_pairs, ingest_pvalues, ingest_plain
-from .errors import CacheMissError, HicritError, ValidationError
+from .errors import CacheMissError, HicritError
 from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
 from .numerics import RngSeed
 
@@ -34,18 +36,9 @@ EXIT_VALIDATION = 3
 EXIT_CACHE_MISS = 4
 
 
-def _default_cache_dir():
-    return os.environ.get("HICRIT_CACHE", "")
-
-
-def _default_critical_cache():
-    d = _default_cache_dir()
-    return os.path.join(d, "critical_values.csv") if d else None
-
-
-def _default_profile_cache():
-    d = _default_cache_dir()
-    return os.path.join(d, "eigen_profiles.csv") if d else None
+def _default_cache():
+    d = os.environ.get("HICRIT_CACHE", "")
+    return os.path.join(d, "cache.jsonl") if d else None
 
 
 class _Fmt:
@@ -84,7 +77,7 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(args, started: float):
+def _manifest(args, started: float, provenance=None):
     params = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     digests = {}
     for key in ("input", "train", "test", "model"):
@@ -99,6 +92,8 @@ def _manifest(args, started: float):
         "input_digests": digests,
         "duration_s": round(time.monotonic() - started, 6),
     }
+    if provenance is not None:
+        doc["provenance"] = provenance
     line = json.dumps(doc, sort_keys=True)
     print(f"manifest={line}")
     if getattr(args, "manifest", None):
@@ -147,28 +142,22 @@ def _cmd_score(args, fmt):
 def _cmd_calibrate(args, fmt):
     value, source, entry = calibrate.resolve_critical(
         args.n, args.alpha, args.variant, args.policy, args.alpha0, args.reps, args.seed,
-        args.cache or _default_critical_cache(), n_jobs=args.threads)
+        args.cache or _default_cache(), n_jobs=args.threads)
     fields = [("critical", value), ("source", source), ("N", args.n), ("alpha", args.alpha),
               ("variant", args.variant), ("alpha0", args.alpha0)]
     if entry is not None:
         fields.append(("replicates", entry.replicates))
     _emit(fields, fmt)
+    return {"source": source, **(_store.provenance(entry) if entry is not None else {})}
 
 
 def _cmd_detect_sim(args, fmt):
-    if args.epsilon is not None and args.tau is not None:
-        params, eps, tau = args.n, args.epsilon, args.tau
-        summary = arw.detection_experiment(
-            params, args.reps, args.alpha, args.variant, args.seed,
-            epsilon=eps, tau=tau, alpha0=args.alpha0, critical=args.critical,
-            calibration_reps=args.calibration_reps, n_jobs=args.threads)
-    elif args.vartheta is not None and args.r is not None:
-        summary = arw.detection_experiment(
-            arw.ArwParams(args.n, args.vartheta, args.r), args.reps, args.alpha,
-            args.variant, args.seed, alpha0=args.alpha0, critical=args.critical,
-            calibration_reps=args.calibration_reps, n_jobs=args.threads)
-    else:
-        raise ValidationError("need either --epsilon with --tau, or --vartheta with --r")
+    explicit = args.epsilon is not None and args.tau is not None
+    summary = arw.detection_experiment(
+        args.n if explicit else arw.ArwParams(args.n, args.vartheta, args.r), args.reps,
+        args.alpha, args.variant, args.seed, epsilon=args.epsilon, tau=args.tau,
+        alpha0=args.alpha0, critical=args.critical,
+        calibration_reps=args.calibration_reps, n_jobs=args.threads)
     _emit([("power", summary.power), ("size", summary.size),
            ("critical", summary.critical), ("alpha", summary.alpha),
            ("variant", summary.variant), ("separated", summary.separated),
@@ -249,21 +238,20 @@ def _cmd_cov_clique(args, fmt):
 def _cmd_cov_eigen(args, fmt):
     data, _ = ingest_plain(args.input)
     n, p = data.shape
-    cache = args.profile_cache or _default_profile_cache()
     profile = covtest.eigen_null_profile_cached(n, p, args.null_reps, args.seed,
-                                                cache_path=cache, n_jobs=args.threads)
+                                                cache_path=args.profile_cache or _default_cache(),
+                                                n_jobs=args.threads)
     res = covtest.eigen_hc_test(data, profile, args.alpha0)
     _emit([("score", res.score), ("argmax_rank", res.argmax_rank), ("n", n), ("p", p),
            ("profile_replicates", profile.replicates)], fmt)
     if args.trace:
         rows = [(i + 1, res.components[i]) for i in range(res.components.size)]
         _write_csv(args.trace, ["rank", "component"], rows, fmt)
+    return _store.provenance(profile)
 
 
 def _cmd_pairs(args, fmt):
     if args.simulate:
-        if args.n is None:
-            raise ValidationError("--simulate needs --n")
         scores = []
         for rep in range(args.reps):
             x, y = pairhc.sample_bivariate_mixture(
@@ -277,8 +265,6 @@ def _cmd_pairs(args, fmt):
         if args.out:
             _write_csv(args.out, ["rep", "score"], list(enumerate(scores, start=1)), fmt)
         return
-    if not args.input:
-        raise ValidationError("need --input or --simulate")
     x, y = ingest_pairs(args.input)
     ranked = pairhc.RankedPairs.from_data(x, y)
     res = pairhc.pair_hc_star(ranked, args.alpha0)
@@ -329,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", choices=["star", "plus"], default="plus")
     s.add_argument("--alpha0", type=float, default=0.5)
     s.add_argument("--reps", type=int, default=100_000)
-    s.add_argument("--cache", help="cache CSV path (default: $HICRIT_CACHE/critical_values.csv)")
+    s.add_argument("--cache", help="cache file, JSON lines (default: $HICRIT_CACHE/cache.jsonl)")
     s.add_argument("--policy", choices=["simulate_if_missing", "cache_only", "gumbel_fallback"],
                    default="simulate_if_missing", help="what to do on a cache miss")
     _add_common(s, seed=True, threads=True)
@@ -394,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--null-reps", type=int, required=True)
     s.add_argument("--profile-cache",
-                   help="profile cache CSV (default: $HICRIT_CACHE/eigen_profiles.csv)")
+                   help="profile cache file, JSON lines (default: $HICRIT_CACHE/cache.jsonl)")
     s.add_argument("--alpha0", type=float, default=0.5)
     s.add_argument("--trace", help="write per-rank component CSV here")
     _add_common(s, seed=True, threads=True)
@@ -426,32 +412,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_problems(args):
+    """Option combinations argparse cannot check: (violated, message) pairs."""
+    if args.subcommand == "pairs":
+        yield not (args.simulate or args.input), "pairs needs --input or --simulate"
+        yield args.simulate and args.seed is None, "pairs --simulate requires --seed"
+        yield args.simulate and args.n is None, "pairs --simulate requires --n"
+    if args.subcommand == "detect-sim":
+        yield (None in (args.epsilon, args.tau) and None in (args.vartheta, args.r),
+               "detect-sim needs --epsilon with --tau, or --vartheta with --r")
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "pairs" and args.simulate and args.seed is None:
-            parser.error("pairs --simulate requires --seed")
+        for violated, message in _usage_problems(args):
+            if violated:
+                parser.error(message)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)
     started = time.monotonic()
     fmt = _Fmt(getattr(args, "precision", 6))
     try:
-        args.func(args, fmt)
-    except ValidationError as exc:
+        provenance = args.func(args, fmt)
+    except (HicritError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CacheMissError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CACHE_MISS
-    except HicritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    _manifest(args, started)
+        return EXIT_CACHE_MISS if isinstance(exc, CacheMissError) else EXIT_VALIDATION
+    _manifest(args, started, provenance)
     return EXIT_OK
 
 

@@ -9,16 +9,13 @@ Monte Carlo null profile of per-rank means and standard deviations.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _streams
-from ._io import write_csv_atomic
+from . import _store, _streams
 from .errors import InvalidInputError
 from .hc_core import HcResult, PValueSeries, ohc_plus_band
 from .numerics import RNG_VERSION, RngSeed, as_generator, clamp_pvalues, student_t_cdf, student_t_sf
@@ -44,8 +41,6 @@ __all__ = [
 ]
 
 _RHO_EPS = 1e-15
-_PROFILE_HEADER = ["n", "p", "replicates", "seed", "stream_id", "rng_version", "rank", "mean",
-                   "sd"]
 _PROFILE_STREAM_BLOCK = 64
 
 
@@ -272,57 +267,27 @@ def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Profile cache: one CSV row per eigenvalue rank, rewritten through the same
-# atomic writer as the critical-value cache. A profile is identified by
-# (n, p, replicates, seed, stream_id, rng_version); files written before
-# stream ids were recorded read as stream 0.
+# Profile cache: "eigen_profile" records in the shared record store.
 
-def _profile_rows(path) -> list[dict]:
-    if not os.path.exists(path):
-        return []
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        row["stream_id"] = row.get("stream_id") or "0"
-    return rows
-
-
-def _profile_key(row) -> tuple:
-    return (int(row["n"]), int(row["p"]), int(row["replicates"]), int(row["seed"]),
-            int(row["stream_id"]), row["rng_version"])
+def _profile(rec) -> EigenNullProfile:
+    n, p = int(rec["params"]["n"]), int(rec["params"]["p"])
+    means, sds = (np.array(rec["value"][k], dtype=float) for k in ("means", "sds"))
+    if not means.shape == sds.shape == (min(n, p),):
+        raise ValueError(f"expected {min(n, p)} means and sds")
+    return EigenNullProfile(n, p, means, sds, rec["replicates"],
+                            RngSeed(rec["seed"], rec["stream_id"]), rec["rng_version"])
 
 
 def save_profile(path, profile: EigenNullProfile) -> None:
-    """Store ``profile``, replacing any stored rows with the same identity."""
-    key = (profile.n, profile.p, profile.replicates, profile.seed.seed,
-           profile.seed.stream_id, profile.rng_version)
-    rows = [[row[h] for h in _PROFILE_HEADER]
-            for row in _profile_rows(path) if _profile_key(row) != key]
-    rows += [[*key, rank + 1, repr(float(mean)), repr(float(sd))]
-             for rank, (mean, sd) in enumerate(zip(profile.means, profile.sds))]
-    write_csv_atomic(path, _PROFILE_HEADER, rows)
+    """Store ``profile`` unless a profile with the same identity is already stored."""
+    _store.append(path, "eigen_profile", {"n": int(profile.n), "p": int(profile.p)}, profile,
+                  {"means": profile.means.tolist(), "sds": profile.sds.tolist()})
 
 
 def load_profile(path, n: int, p: int, min_replicates: int = 1) -> Optional[EigenNullProfile]:
-    """Best stored profile for (n, p) with enough replicates, or None."""
-    groups = {}
-    for row in _profile_rows(path):
-        row_n, row_p, reps, seed, stream_id, version = _profile_key(row)
-        if (row_n, row_p) == (n, p) and version == RNG_VERSION and reps >= min_replicates:
-            groups.setdefault((reps, seed, stream_id), []).append(row)
-    best = None
-    for (reps, seed, stream_id), rows in groups.items():
-        if len(rows) != min(n, p):
-            continue
-        rows.sort(key=lambda r: int(r["rank"]))
-        prof = EigenNullProfile(
-            n, p,
-            np.array([float(r["mean"]) for r in rows]),
-            np.array([float(r["sd"]) for r in rows]),
-            reps, RngSeed(seed, stream_id))
-        if best is None or prof.replicates > best.replicates:
-            best = prof
-    return best
+    """Best stored profile for (n, p) with enough replicates (``_store.best``), or None."""
+    return _store.best([prof for prof in _store.read(path, "eigen_profile", _profile)
+                        if (prof.n, prof.p) == (n, p)], min_replicates)
 
 
 def eigen_null_profile_cached(n: int, p: int, replicates: int, seed=0,

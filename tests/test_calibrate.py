@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, critical_v
                               empirical_quantile, gumbel_critical, level_alpha_test,
                               load_cache, resolve_critical, simulate_critical,
                               simulate_null_scores)
-from hicrit.errors import CacheMissError, InvalidInputError
+from hicrit.cli import dispatch
+from hicrit.errors import CacheMissError, InvalidInputError, ValidationError
 from hicrit.hc_core import PValueSeries
 from hicrit.numerics import RngSeed
 
@@ -106,11 +108,70 @@ def test_cache_roundtrip(tmp_path):
     assert got == entry  # the stream id survives too
 
 
-def test_cache_without_stream_column_reads_stream_zero(tmp_path):
-    path = tmp_path / "cache.csv"
-    path.write_text("N,alpha,variant,alpha0,replicates,seed,rng_version,quantile\n"
-                    "100,0.05,plus,0.5,1000,7,philox4x64-v1,3.5\n")
-    assert load_cache(path)[0].seed == RngSeed(7, 0)
+def _append_many(path, writer, start):
+    start.wait(timeout=60)
+    for i in range(25):
+        append_cache_entry(path, CriticalValueEntry(100, 0.05, "plus", 0.5, 1000,
+                                                    RngSeed(writer, i), 3.0 + i))
+
+
+def test_concurrent_writers_keep_every_record(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(4)
+    procs = [ctx.Process(target=_append_many, args=(path, w, start)) for w in range(4)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+    entries = load_cache(path)
+    assert len(entries) == 100
+    assert {e.seed for e in entries} == {RngSeed(w, i) for w in range(4) for i in range(25)}
+
+
+def _calibrate_cache_only(capsys, path):
+    code = dispatch(["calibrate", "--n", "100", "--alpha", "0.05", "--seed", "1",
+                     "--cache", str(path), "--policy", "cache_only"])
+    return code, capsys.readouterr().err
+
+
+def test_legacy_csv_cache_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("N,alpha,variant,alpha0,replicates,seed,stream_id,rng_version,quantile\n"
+                    "100,0.05,plus\n")
+    code, err = _calibrate_cache_only(capsys, path)
+    assert code == 3
+    assert "row 1" in err and "delete the file" in err and "Traceback" not in err
+
+
+def test_malformed_cache_line_exits_3_naming_it(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    append_cache_entry(path, CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5))
+    good = path.read_text()
+    broken = [good[:40] + "\n",  # a line cut short, then terminated
+              good.replace('"replicates": 1000, ', ""),  # a field missing
+              good.replace('"N": 100', '"N": "many"')]  # a parameter of the wrong type
+    for bad in broken:
+        path.write_text(good + bad)
+        code, err = _calibrate_cache_only(capsys, path)
+        assert code == 3 and "row 2" in err and "Traceback" not in err
+        with pytest.raises(ValidationError):
+            load_cache(path)
+
+
+def test_unterminated_last_line_is_skipped(tmp_path):
+    path = tmp_path / "c.jsonl"
+    first = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5)
+    append_cache_entry(path, first)
+    with open(path, "a") as fh:
+        fh.write('{"kind": "critical_value", "params": {"N"')  # an append cut short
+    assert load_cache(path) == [first]
+    second = CriticalValueEntry(100, 0.05, "plus", 0.5, 2000, RngSeed(2), 3.25)
+    append_cache_entry(path, second)  # the next append cuts the fragment off
+    assert load_cache(path) == [first, second]
+    append_cache_entry(path, second)  # the same identity again is not stored twice
+    assert load_cache(path) == [first, second]
 
 
 def test_critical_value_policies(tmp_path):

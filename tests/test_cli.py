@@ -6,6 +6,7 @@ import pytest
 
 from hicrit.cli import dispatch
 from hicrit.covtest import make_clique_sigma, sample_gaussian
+from hicrit.numerics import RNG_VERSION
 
 
 def run(capsys, *argv):
@@ -158,6 +159,26 @@ def test_calibrate_cache_flow(tmp_path, capsys):
     assert value1 == value2
 
 
+def test_calibrate_manifest_names_the_seed_used(tmp_path, capsys):
+    cache = str(tmp_path / "cache.jsonl")
+    args = ("calibrate", "--n", "200", "--alpha", "0.05", "--reps", "200", "--cache", cache,
+            "--threads", "1")
+    code, out5, _ = run(capsys, *args, "--seed", "5")
+    assert code == 0
+    assert manifest_of(out5)["provenance"] == {
+        "source": "simulated", "seed": 5, "stream_id": 0, "replicates": 200,
+        "rng_version": RNG_VERSION}
+    code, out6, _ = run(capsys, *args, "--seed", "6")
+    assert code == 0 and "source=cache" in out6  # hits do not depend on the seed...
+    manifest = manifest_of(out6)
+    assert manifest["seed"] == 6
+    assert manifest["provenance"]["seed"] == 5  # ...so the manifest names the one used
+    assert manifest["provenance"]["source"] == "cache"
+    code, out, _ = run(capsys, "calibrate", "--n", "1000", "--alpha", "0.05", "--seed", "1",
+                       "--policy", "gumbel_fallback")
+    assert manifest_of(out)["provenance"] == {"source": "gumbel"}
+
+
 def test_calibrate_requires_seed(capsys):
     assert dispatch(["calibrate", "--n", "100", "--alpha", "0.05"]) == 2
 
@@ -201,7 +222,7 @@ def test_detect_sim_arw_parameterization(capsys):
     assert code == 0
     assert "power=" in output_lines(out)[0]
     code, _, err = run(capsys, "detect-sim", "--n", "500", "--reps", "5", "--seed", "1")
-    assert code == 3
+    assert code == 2  # a missing option pair is a usage error
 
 
 def test_permtest(labeled_file, capsys, tmp_path):
@@ -277,8 +298,10 @@ def test_cov_eigen_cli(tmp_path, capsys):
     assert code == 0
     assert "score=" in output_lines(out1)[0]
     assert os.path.exists(cache)
-    code, out2, _ = run(capsys, *args)  # second run hits the profile cache
+    code, out2, _ = run(capsys, *args, "--seed", "5")  # hits the profile cache
     assert output_lines(out1) == output_lines(out2)
+    assert manifest_of(out2)["provenance"] == {"seed": 4, "stream_id": 0, "replicates": 100,
+                                               "rng_version": RNG_VERSION}
     assert len(open(trace).read().strip().splitlines()) == 11
 
 
@@ -304,6 +327,10 @@ def test_pairs_simulate_requires_seed(capsys):
     code, out, err = run(capsys, "pairs", "--simulate", "--n", "50", "--reps", "2")
     assert code == 2
     assert "--seed" in err and "median_score" not in out
+    code, _, err = run(capsys, "pairs", "--simulate", "--seed", "1")
+    assert code == 2 and "--n" in err
+    code, _, err = run(capsys, "pairs")
+    assert code == 2 and "--input or --simulate" in err
 
 
 def test_phase_cli(tmp_path, capsys):

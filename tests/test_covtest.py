@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from hicrit.calibrate import CriticalValueEntry, append_cache_entry, load_cache
+from hicrit.cli import dispatch
 from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
                             eigen_hc_test, eigen_null_profile, eigen_null_profile_cached,
                             haar_orthogonal, load_profile, make_clique_sigma,
                             make_spiked_sigma, pairwise_pvalue, rowmax_cdf, rowmax_pvalue,
                             sample_gaussian, save_profile)
-from hicrit.errors import InvalidInputError
+from hicrit.errors import InvalidInputError, ValidationError
 from hicrit.numerics import RngSeed
 
 # mpmath: P(t_4 >= 2*0.5/sqrt(0.75)) = 5/32 exactly.
@@ -192,24 +196,53 @@ def test_profile_cache_keeps_identity(tmp_path):
     path = str(tmp_path / "profiles.csv")
     profile = eigen_null_profile(12, 8, replicates=100, seed=RngSeed(7, 99))
     save_profile(path, profile)
-    save_profile(path, profile)  # the same profile again replaces its rows
+    save_profile(path, profile)  # the same profile again is not stored twice
+    assert len(Path(path).read_text().splitlines()) == 1
     loaded = load_profile(path, 12, 8)
     assert loaded.seed == RngSeed(7, 99)
     np.testing.assert_array_equal(loaded.means, profile.means)
     np.testing.assert_array_equal(loaded.sds, profile.sds)
     # another stream is another record; the one with more replicates wins
     save_profile(path, eigen_null_profile(12, 8, replicates=120, seed=RngSeed(7, 0)))
-    assert len(open(path).read().strip().splitlines()) == 1 + 2 * 8
+    assert len(Path(path).read_text().splitlines()) == 2  # one record per profile
     assert load_profile(path, 12, 8).seed == RngSeed(7, 0)
 
 
-def test_profile_cache_without_stream_column(tmp_path):
+def test_legacy_profile_csv_exits_3(tmp_path, capsys):
     path = tmp_path / "profiles.csv"
-    rows = [f"3,2,100,7,philox4x64-v1,{r},1.5,0.5" for r in (1, 2)]
-    path.write_text("n,p,replicates,seed,rng_version,rank,mean,sd\n" + "\n".join(rows) + "\n")
-    loaded = load_profile(str(path), 3, 2)
-    assert loaded.seed == RngSeed(7, 0)
-    np.testing.assert_array_equal(loaded.means, [1.5, 1.5])
+    rows = [f"3,2,100,7,0,philox4x64-v1,{r},1.5,0.5" for r in (1, 2)]
+    path.write_text("n,p,replicates,seed,stream_id,rng_version,rank,mean,sd\n"
+                    + "\n".join(rows) + "\n")
+    with pytest.raises(ValidationError, match="row 1"):
+        load_profile(str(path), 3, 2)
+    data = tmp_path / "x.csv"
+    data.write_text("a,b\n1,2\n3,5\n4,4\n")
+    code = dispatch(["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed", "1",
+                     "--profile-cache", str(path), "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code == 3 and "row 1" in err and "delete the file" in err
+
+
+def test_short_profile_record_names_its_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    profile = EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.2, 0.1]), 100,
+                               RngSeed(7))
+    save_profile(path, profile)
+    good = path.read_text()
+    path.write_text(good + good.replace('"means": [1.5, 0.5]', '"means": [1.5]'))
+    with pytest.raises(ValidationError, match="row 2"):
+        load_profile(path, 3, 2)
+
+
+def test_profiles_and_critical_values_share_a_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5)
+    profile = EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.2, 0.1]), 100,
+                               RngSeed(1))
+    append_cache_entry(path, entry)
+    save_profile(path, profile)
+    assert load_cache(path) == [entry]
+    np.testing.assert_array_equal(load_profile(path, 3, 2).means, profile.means)
 
 
 def test_profile_determinism_and_jobs():

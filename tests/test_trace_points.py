@@ -5,16 +5,48 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from hicrit.cli import dispatch
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_trace_point_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)  # stdlib only at import time
+    return spans
+
+
+def test_every_trace_point_resolves():
+    spans = _load_spans()
     assert spans.TRACE_POINTS
     for module, attr, _, _ in spans.TRACE_POINTS:
         owner = importlib.import_module(module)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module}.{attr} does not resolve"
+
+
+def test_cache_spans_are_recorded(tmp_path, capsys):
+    # The benchmark's per-layer cache metrics sum these spans; if the caches
+    # stopped calling the traced functions through their module globals, the
+    # metrics would read 0 without any error.
+    spans = _load_spans()
+    data = tmp_path / "x.csv"
+    rows = np.random.default_rng(0).standard_normal((12, 5)).tolist()
+    data.write_text("a,b,c,d,e\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    cache = str(tmp_path / "cache.jsonl")
+    calibrate = ["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200", "--seed", "1",
+                 "--cache", cache, "--threads", "1"]
+    eigen = ["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed", "1",
+             "--profile-cache", cache, "--threads", "1"]
+    with spans.Tracer() as tracer:
+        codes = [dispatch(argv) for argv in (calibrate, calibrate, eigen, eigen)]
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    calls = {name: row["calls"] for name, row in spans.summary(tracer.spans).items()}
+    assert calls.get("calibrate.cache_read") == 2
+    assert calls.get("calibrate.cache_write") == 1
+    assert calls.get("covtest.profile_cache_read") == 2
+    assert calls.get("covtest.profile_cache_write") == 1
