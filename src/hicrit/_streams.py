@@ -6,6 +6,9 @@ counter-based RNG stream: block k draws from Philox stream
 cap the elements materialized at once. The layout depends only on the
 replicate count, the block size and the row size, never on the worker count,
 so results are bit-identical no matter how many worker processes are used.
+The blocks of every job of one experiment (``run_all``) share one process
+pool, so independent streams, such as a null and an alternative sample, run
+side by side even when each fits in a single block.
 """
 
 from __future__ import annotations
@@ -27,21 +30,30 @@ def _run_stream(kernel, params, reps: int, row_elems: int, seed: RngSeed) -> np.
                            for done in range(0, reps, batch)])
 
 
+def run_all(jobs, n_jobs: int) -> list:
+    """Concatenated results of each job, in job order.
+
+    A job is ``(kernel, params, total, block, row_elems, base)``:
+    ``kernel(params, b, rng)`` returns the results of b replicates drawn from
+    ``rng`` (one row each) and must be a picklable top-level function;
+    ``row_elems`` is the number of elements one replicate materializes. The
+    blocks of all jobs go to one process pool, in job order, only when
+    n_jobs > 1 and there is more than one block; list the costliest job first.
+    """
+    blocks = [[(kernel, params, min(block, total - start), row_elems,
+                base.stream(base.stream_id + k))
+               for k, start in enumerate(range(0, total, block))]
+              for kernel, params, total, block, row_elems, base in jobs]
+    tasks = [task for job in blocks for task in job]
+    if n_jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+            parts = iter(list(pool.map(_run_stream, *zip(*tasks), chunksize=1)))
+    else:
+        parts = (_run_stream(*task) for task in tasks)
+    return [np.concatenate([next(parts) for _ in job]) for job in blocks]
+
+
 def run(kernel, params, total: int, block: int, row_elems: int, base: RngSeed,
         n_jobs: int) -> np.ndarray:
-    """Concatenated results of ``kernel`` over ``total`` replicates.
-
-    ``kernel(params, b, rng)`` returns the results of b replicates drawn from
-    ``rng`` (one row each); it must be a picklable top-level function.
-    ``row_elems`` is the number of elements one replicate materializes. Blocks
-    go to a process pool only when n_jobs > 1 and there is more than one.
-    """
-    tasks = [(kernel, params, min(block, total - start), row_elems,
-              base.stream(base.stream_id + k))
-             for k, start in enumerate(range(0, total, block))]
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(_run_stream, *zip(*tasks), chunksize=1))
-    else:
-        parts = [_run_stream(*t) for t in tasks]
-    return np.concatenate(parts)
+    """Results of one job of ``run_all``: ``total`` replicates of ``kernel``."""
+    return run_all([(kernel, params, total, block, row_elems, base)], n_jobs)[0]

@@ -3,7 +3,9 @@
 The alternative draws each coordinate nonnull with probability epsilon and
 shifts it by tau; P-values come from the standard normal. The experiment
 harness scores repeated null/alternative draws with an HC variant against a
-calibrated critical value. A permutation scheme (independent row shuffles per
+calibrated critical value; both samples run in one stream-runner pool, and
+only the floor(alpha0*N) smallest P-values of a draw, the ones the HC kernel
+reads, are computed. A permutation scheme (independent row shuffles per
 column) supplies P-values for HC scores on real labeled matrices.
 """
 
@@ -18,7 +20,7 @@ from scipy.special import ndtr
 
 from . import _streams, calibrate, hct
 from .errors import InvalidInputError
-from .hc_core import PValueSeries, hc_plus, hc_scores_sorted_batch, hc_star
+from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
 from .numerics import RngSeed, as_generator, clamp_pvalues
 
 __all__ = [
@@ -122,15 +124,27 @@ def _mixture_batch(params, b: int, rng) -> np.ndarray:
     n, eps, tau, variant, alpha0 = params
     x = rng.standard_normal((b, n))
     if eps > 0.0:
-        x += tau * (rng.random((b, n)) < eps)
-    p = clamp_pvalues(ndtr(-x))
-    p.sort(axis=-1)
-    return hc_scores_sorted_batch(p, variant, alpha0)
+        np.add(x, tau, out=x, where=rng.random((b, n)) < eps)
+    # ndtr and the clamp are monotone, so the k smallest P-values in order are
+    # the transforms of the k smallest -x in order; the kernel reads no more.
+    np.negative(x, out=x)
+    k = _index_range(alpha0, n)
+    if k < n:
+        x.partition(k - 1, axis=-1)
+    window = x[:, :k]
+    window.sort(axis=-1)
+    window[...] = clamp_pvalues(ndtr(window))
+    return hc_scores_sorted_batch(x, variant, alpha0)
+
+
+def _mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base):
+    return (_mixture_batch, (n, eps, tau, variant, alpha0), reps, calibrate.STREAM_BLOCK, n,
+            RngSeed(seed, stream_base))
 
 
 def _mixture_scores(n, eps, tau, variant, alpha0, reps, seed, stream_base, n_jobs) -> np.ndarray:
-    return _streams.run(_mixture_batch, (n, eps, tau, variant, alpha0), reps,
-                        calibrate.STREAM_BLOCK, n, RngSeed(seed, stream_base), n_jobs)
+    return _streams.run(*_mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base),
+                        n_jobs)
 
 
 @dataclass(frozen=True)
@@ -145,6 +159,16 @@ class DetectionSummary:
     alpha: float
     variant: str
     alpha0: float
+
+    @property
+    def power_se(self) -> float:
+        """Binomial standard error sqrt(q(1-q)/R) of power over the R alternative scores."""
+        return math.sqrt(self.power * (1.0 - self.power) / self.alt_scores.size)
+
+    @property
+    def size_se(self) -> float:
+        """Binomial standard error sqrt(q(1-q)/R) of size over the R null scores."""
+        return math.sqrt(self.size * (1.0 - self.size) / self.null_scores.size)
 
     @property
     def separated(self) -> bool:
@@ -173,10 +197,9 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
             n, alpha, variant, alpha0, max(100, calibration_reps),
             RngSeed(base.seed, _CALIB_STREAMS), n_jobs=n_jobs)
         critical = entry.quantile
-    null_scores = _mixture_scores(n, 0.0, 0.0, variant, alpha0, reps, base.seed,
-                                  _NULL_STREAMS, n_jobs)
-    alt_scores = _mixture_scores(n, eps, t, variant, alpha0, reps, base.seed,
-                                 _ALT_STREAMS, n_jobs)
+    alt_scores, null_scores = _streams.run_all(
+        [_mixture_job(n, eps, t, variant, alpha0, reps, base.seed, _ALT_STREAMS),
+         _mixture_job(n, 0.0, 0.0, variant, alpha0, reps, base.seed, _NULL_STREAMS)], n_jobs)
     return DetectionSummary(
         null_scores=null_scores,
         alt_scores=alt_scores,

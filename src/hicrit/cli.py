@@ -5,7 +5,9 @@ evaluate, cov-clique, cov-eigen, pairs, phase. Every randomized subcommand
 requires an explicit --seed; outputs are deterministic given the arguments,
 and each run ends with a single manifest line recording the parameters, seed,
 input digests and duration so it can be replayed bit-exactly; calibrate and
-cov-eigen add the seed, stream, replicates and RNG version of the value used.
+cov-eigen add the seed, stream, replicates and RNG version of the value used,
+and detect-sim the seed, streams, replicates and RNG version of its samples
+and where its critical value came from.
 
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
@@ -28,7 +30,7 @@ from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
 from ._io import ingest_labeled, ingest_pairs, ingest_pvalues, ingest_plain
 from .errors import CacheMissError, HicritError
 from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
-from .numerics import RngSeed
+from .numerics import RNG_VERSION, RngSeed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,7 +80,8 @@ def _digest(path) -> str:
 
 
 def _manifest(args, started: float, provenance=None):
-    params = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "usage_error") and v is not None}
     digests = {}
     for key in ("input", "train", "test", "model"):
         path = params.get(key)
@@ -102,6 +105,8 @@ def _manifest(args, started: float, provenance=None):
 
 
 def _add_common(sub, seed=False, threads=False):
+    # Usage errors found after parsing print this subcommand's usage line.
+    sub.set_defaults(usage_error=sub.error)
     sub.add_argument("--precision", type=int, default=6,
                      help="significant digits in numeric output (default 6)")
     sub.add_argument("--manifest", help="also write the run manifest to this JSON file")
@@ -165,6 +170,12 @@ def _cmd_detect_sim(args, fmt):
     if args.out:
         rows = [("H0", s) for s in summary.null_scores] + [("H1", s) for s in summary.alt_scores]
         _write_csv(args.out, ["hypothesis", "score"], rows, fmt)
+    streams = {"null": arw._NULL_STREAMS, "alternative": arw._ALT_STREAMS}
+    if args.critical is None:
+        streams["calibration"] = arw._CALIB_STREAMS
+    return {"seed": args.seed, "stream_ids": streams, "reps": args.reps,
+            "rng_version": RNG_VERSION,
+            "critical_source": "simulated" if args.critical is None else "given"}
 
 
 def _cmd_permtest(args, fmt):
@@ -415,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_problems(args):
     """Option combinations argparse cannot check: (violated, message) pairs."""
     if args.subcommand == "pairs":
-        yield not (args.simulate or args.input), "pairs needs --input or --simulate"
-        yield args.simulate and args.seed is None, "pairs --simulate requires --seed"
-        yield args.simulate and args.n is None, "pairs --simulate requires --n"
+        yield not (args.simulate or args.input), "needs --input or --simulate"
+        yield args.simulate and args.seed is None, "--simulate requires --seed"
+        yield args.simulate and args.n is None, "--simulate requires --n"
     if args.subcommand == "detect-sim":
         yield (None in (args.epsilon, args.tau) and None in (args.vartheta, args.r),
-               "detect-sim needs --epsilon with --tau, or --vartheta with --r")
+               "needs --epsilon with --tau, or --vartheta with --r")
 
 
 def dispatch(argv) -> int:
@@ -429,7 +440,7 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         for violated, message in _usage_problems(args):
             if violated:
-                parser.error(message)
+                args.usage_error(message)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)

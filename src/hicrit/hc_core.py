@@ -342,8 +342,11 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     """HC scores for a batch of pre-sorted series, one row per series.
 
     The Monte Carlo kernel behind critical-value simulation and the detection
-    experiments: no per-row validation, input rows must already be ascending
-    and inside (0, 1]. Rows whose restricted range is empty score -inf.
+    experiments: no per-row validation. Only the first k_max = floor(alpha0*N)
+    entries of each row are read, N being the row width; they must be the
+    row's k_max smallest P-values, ascending and inside (0, 1], and the rest
+    of the row may hold anything. Rows whose restricted range is empty score
+    -inf.
     """
     p = np.asarray(sorted_pvalues, dtype=float)
     if p.ndim != 2:

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from scipy.special import ndtr
+
+from hicrit import _streams
 from hicrit.arw import (ArwParams, detection_experiment, permutation_pvalue,
                         permutation_test, pvalues_one_sided, pvalues_two_sided,
-                        sample_mixture, _mixture_scores, _NULL_STREAMS)
-from hicrit.calibrate import simulate_critical, simulate_null_scores
+                        sample_mixture, _mixture_batch, _mixture_scores, _NULL_STREAMS)
+from hicrit.calibrate import STREAM_BLOCK, _null_batch, simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
+from hicrit.hc_core import hc_scores_sorted_batch
 from hicrit.hct import LabeledMatrix
+from hicrit.numerics import MIN_PVALUE, RngSeed, clamp_pvalues
 
 
 def test_arw_params_derived():
@@ -105,6 +110,75 @@ def test_detection_determinism():
     np.testing.assert_array_equal(a.alt_scores, b.alt_scores)
     c = detection_experiment(300, **{**kwargs, "n_jobs": 2})
     np.testing.assert_array_equal(a.alt_scores, c.alt_scores)
+
+
+def _mixture_batch_reference(params, b, rng):
+    # The transform of every coordinate, then a full sort: what _mixture_batch
+    # must reproduce bit for bit while transforming only the k_max smallest.
+    n, eps, tau, variant, alpha0 = params
+    x = rng.standard_normal((b, n))
+    if eps > 0.0:
+        x += tau * (rng.random((b, n)) < eps)
+    p = clamp_pvalues(ndtr(-x))
+    p.sort(axis=-1)
+    return hc_scores_sorted_batch(p, variant, alpha0)
+
+
+# With tau = 40 most nonnull P-values underflow to the clamp and tie there.
+_CLAMP_TIES = (0.3, 40.0)
+
+
+@pytest.mark.parametrize("alpha0", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("variant", ["star", "plus"])
+@pytest.mark.parametrize("eps,tau", [(0.0, 0.0), (0.02, 2.5), _CLAMP_TIES])
+def test_mixture_batch_matches_full_transform(alpha0, variant, eps, tau):
+    params = (2000, eps, tau, variant, alpha0)
+    got = _mixture_batch(params, 64, RngSeed(7, 3).generator())
+    want = _mixture_batch_reference(params, 64, RngSeed(7, 3).generator())
+    np.testing.assert_array_equal(got, want)
+
+
+def test_clamp_ties_straddle_the_window():
+    # In the tie case above, every row holds more clamped P-values than the
+    # alpha0 = 0.1 window (200) and fewer than the alpha0 = 0.5 window (1000).
+    eps, tau = _CLAMP_TIES
+    rng = RngSeed(7, 3).generator()
+    x = rng.standard_normal((9, 2000))
+    x += tau * (rng.random((9, 2000)) < eps)
+    ties = (clamp_pvalues(ndtr(-x)) == MIN_PVALUE).sum(axis=1)
+    assert np.all((ties > 200) & (ties < 1000)), ties
+
+
+def test_detection_pool_matches_in_process():
+    # More replicates than one block, and a simulated critical value: every
+    # stream of the experiment shares one pool at n_jobs = 2.
+    kwargs = dict(reps=STREAM_BLOCK + 40, alpha=0.05, variant="plus", seed=41,
+                  epsilon=0.02, tau=2.5, critical=None, calibration_reps=200)
+    a = detection_experiment(300, n_jobs=1, **kwargs)
+    b = detection_experiment(300, n_jobs=2, **kwargs)
+    np.testing.assert_array_equal(a.null_scores, b.null_scores)
+    np.testing.assert_array_equal(a.alt_scores, b.alt_scores)
+    assert a.critical == b.critical
+
+
+def test_run_all_equals_separate_runs():
+    jobs = [(_null_batch, (200, "plus", 0.5), 700, 300, 200, RngSeed(5, 10)),
+            (_mixture_batch, (150, 0.05, 2.0, "star", 0.5), 450, 200, 150, RngSeed(5, 99))]
+    for n_jobs in (1, 2):
+        together = _streams.run_all(jobs, n_jobs)
+        assert len(together) == 2
+        for job, got in zip(jobs, together):
+            np.testing.assert_array_equal(got, _streams.run(*job, 1))
+
+
+def test_detection_standard_errors():
+    summary = detection_experiment(300, reps=40, alpha=0.05, variant="plus", seed=42,
+                                   epsilon=0.02, tau=2.5, critical=2.0)
+    q, r = summary.power, summary.alt_scores.size
+    assert summary.power_se == pytest.approx(math.sqrt(q * (1 - q) / r), rel=1e-15)
+    q, r = summary.size, summary.null_scores.size
+    assert summary.size_se == pytest.approx(math.sqrt(q * (1 - q) / r), rel=1e-15)
+    assert 0.0 < summary.size < summary.power < 1.0  # both errors are nonzero
 
 
 # --------------------------------------------------------------------------- permutation

@@ -223,6 +223,25 @@ def test_detect_sim_arw_parameterization(capsys):
     assert "power=" in output_lines(out)[0]
     code, _, err = run(capsys, "detect-sim", "--n", "500", "--reps", "5", "--seed", "1")
     assert code == 2  # a missing option pair is a usage error
+    assert err.startswith("usage: hicrit detect-sim ")
+    assert "--epsilon with --tau" in err
+
+
+def test_detect_sim_manifest_provenance(capsys):
+    args = ("detect-sim", "--n", "400", "--vartheta", "0.6", "--r", "0.5", "--reps", "12",
+            "--seed", "8", "--threads", "1")
+    code, out, _ = run(capsys, *args, "--critical", "3.1")
+    assert code == 0
+    assert manifest_of(out)["provenance"] == {
+        "seed": 8, "stream_ids": {"null": 0, "alternative": 1 << 20}, "reps": 12,
+        "rng_version": RNG_VERSION, "critical_source": "given"}
+    line = output_lines(out)[0]
+    assert line.split()[0].startswith("power=") and line.split()[-1] == "reps=12"
+    code, out, _ = run(capsys, *args, "--calibration-reps", "200")
+    assert code == 0
+    assert manifest_of(out)["provenance"] == {
+        "seed": 8, "stream_ids": {"null": 0, "alternative": 1 << 20, "calibration": 1 << 21},
+        "reps": 12, "rng_version": RNG_VERSION, "critical_source": "simulated"}
 
 
 def test_permtest(labeled_file, capsys, tmp_path):
@@ -329,6 +348,7 @@ def test_pairs_simulate_requires_seed(capsys):
     assert "--seed" in err and "median_score" not in out
     code, _, err = run(capsys, "pairs", "--simulate", "--seed", "1")
     assert code == 2 and "--n" in err
+    assert err.startswith("usage: hicrit pairs ")  # the subcommand's usage, not the top level
     code, _, err = run(capsys, "pairs")
     assert code == 2 and "--input or --simulate" in err
 

@@ -302,6 +302,19 @@ def test_batch_kernel_matches_single_series():
                 assert score == fn(PValueSeries(row), alpha0).score  # exact, not approx
 
 
+def test_batch_kernel_reads_only_the_first_k_max_columns():
+    # The detection kernel leaves the columns past floor(alpha0*N) untransformed.
+    rng = np.random.default_rng(11)
+    p = np.sort(rng.uniform(1e-8, 1.0, (20, 60)), axis=-1)
+    for alpha0 in (0.1, 0.5, 0.999):
+        k_max = int(alpha0 * 60)
+        junk = p.copy()
+        junk[:, k_max:] = np.nan
+        for variant in ("star", "plus"):
+            np.testing.assert_array_equal(hc_scores_sorted_batch(junk, variant, alpha0),
+                                          hc_scores_sorted_batch(p, variant, alpha0))
+
+
 def test_batch_kernel_handles_p_equal_one():
     row = np.array([[0.2, 0.5, 1.0, 1.0]])
     got = hc_scores_sorted_batch(row, "star", 1.0)

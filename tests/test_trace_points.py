@@ -50,3 +50,16 @@ def test_cache_spans_are_recorded(tmp_path, capsys):
     assert calls.get("calibrate.cache_write") == 1
     assert calls.get("covtest.profile_cache_read") == 2
     assert calls.get("covtest.profile_cache_write") == 1
+
+
+def test_detection_transforms_only_the_window(capsys):
+    # arw.ndtr_elems counts P-value transforms: 2 samples x 20 replicates x
+    # the floor(0.5 * 2000) = 1000 smallest of each draw, not all 2000.
+    spans = _load_spans()
+    argv = ["detect-sim", "--n", "2000", "--vartheta", "0.6", "--r", "0.5", "--reps", "20",
+            "--critical", "3.1", "--seed", "1", "--threads", "1"]
+    with spans.Tracer() as tracer:
+        code = dispatch(argv)
+    assert code == 0, capsys.readouterr().err
+    assert sum(s["elems"] for s in tracer.spans if s["name"] == "arw.ndtr") == 2 * 20 * 1000
+    assert any(s["name"] == "hc_core.kernel" for s in tracer.spans)
