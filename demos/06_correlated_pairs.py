@@ -11,8 +11,8 @@ independence expectation n(1-k/n)^2, and maximize.
 import numpy as np
 
 from hicrit.numerics import RngSeed
-from hicrit.pairhc import (PAPER_SETTINGS, RankedPairs, corner_counts,
-                           pair_hc_components, pair_hc_star, sample_bivariate_mixture)
+from hicrit.pairhc import (PAPER_SETTINGS, RankedPairs, corner_counts, pair_hc_components,
+                           pair_hc_star, sample_bivariate_mixture, simulate_pair_scores)
 
 # One contaminated sample: 5% of pairs get mean (1,1) and correlation 0.25.
 n = 1000
@@ -42,10 +42,8 @@ threshold = np.percentile(null_scores, 95)
 print(f"\nnull 95th percentile: {threshold:.2f}")
 print(f"{'eps':>6} {'tau':>5} {'rho':>5} {'median pairHC*':>15}")
 for i, setting in enumerate(PAPER_SETTINGS):
-    scores = []
-    for s in range(30):
-        xx, yy = sample_bivariate_mixture(n, setting["epsilon"], setting["tau"],
-                                          setting["rho"], seed=RngSeed(10 + i, s))
-        scores.append(pair_hc_star(RankedPairs.from_data(xx, yy)).score)
+    # Draw s of setting i comes from the Philox stream RngSeed(10 + i, s).
+    scores = simulate_pair_scores(n, setting["epsilon"], setting["tau"], setting["rho"],
+                                  30, seed=10 + i)
     print(f"{setting['epsilon']:>6} {setting['tau']:>5} {setting['rho']:>5} "
           f"{np.median(scores):>15.2f}")

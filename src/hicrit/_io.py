@@ -1,11 +1,13 @@
 """CSV/text ingestion with schema validation and cell-level error reporting.
 
 Row numbers in error messages are 1-based file line numbers (blank lines
-count). All schemas reject NaN/Inf and non-numeric cells.
+count). All schemas reject NaN/Inf and non-numeric cells, and a file that does
+not decode as text is a ValidationError naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import sys
@@ -34,9 +36,20 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+@contextlib.contextmanager
+def open_text(path, **kwargs):
+    """``open(path, **kwargs)`` for reading text; a decode error while the
+    block reads raises ValidationError naming the file."""
+    with open(path, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+
+
 def _read_csv(path):
     """Non-blank CSV rows, each paired with its file line number."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
@@ -48,7 +61,7 @@ def ingest_pvalues(path, column=None) -> PValueSeries:
     """P-values from a one-value-per-line text file or a named CSV column."""
     if column is None:
         column = "pvalue"
-        with open(path) as fh:
+        with open_text(path) as fh:
             cells = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
         if not cells:
             raise ValidationError(f"{path}: empty file")

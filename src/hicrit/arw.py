@@ -142,11 +142,6 @@ def _mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base):
             RngSeed(seed, stream_base))
 
 
-def _mixture_scores(n, eps, tau, variant, alpha0, reps, seed, stream_base, n_jobs) -> np.ndarray:
-    return _streams.run(*_mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base),
-                        n_jobs)
-
-
 @dataclass(frozen=True)
 class DetectionSummary:
     """Scores and rejection rates from one detection experiment."""
@@ -191,6 +186,7 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     if reps < 2:
         raise InvalidInputError(f"need reps >= 2, got {reps}")
     n, eps, t = _mixture_spec(params, epsilon, tau)
+    _index_range(alpha0, n)
     base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
     if critical is None:
         entry = calibrate.simulate_critical(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _store, _streams
 from .errors import CacheMissError, InvalidInputError
-from .hc_core import PValueSeries, hc_plus, hc_scores_sorted_batch, hc_star
+from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
 from .numerics import RNG_VERSION, RngSeed
 
 __all__ = [
@@ -85,6 +85,7 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
     Deterministic for a given seed, independently of n_jobs: replicates are
     split into STREAM_BLOCK-sized chunks with one Philox stream each.
     """
+    _index_range(alpha0, N)
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
     base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))

@@ -27,10 +27,10 @@ import time
 import numpy as np
 
 from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
-from ._io import ingest_labeled, ingest_pairs, ingest_pvalues, ingest_plain
+from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues, open_text
 from .errors import CacheMissError, HicritError
 from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
-from .numerics import RNG_VERSION, RngSeed
+from .numerics import RNG_VERSION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,11 +64,14 @@ def _emit(pairs, fmt: _Fmt):
 
 
 def _write_csv(path, header, rows, fmt: _Fmt):
+    """A header and formatted rows as CSV to ``path``, or to stdout when path is None."""
+    lines = [header] + [[cell if isinstance(cell, str) else fmt(cell) for cell in row]
+                        for row in rows]
+    if path is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
+        return
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+        csv.writer(fh).writerows(lines)
 
 
 def _digest(path) -> str:
@@ -135,8 +138,7 @@ def _cmd_score(args, fmt):
                ("alpha0", args.alpha0)], fmt)
         return
     _emit([("variant", res.variant), ("score", res.score),
-           ("argmax_index", res.argmax_index if res.argmax_index is not None else ""),
-           ("n", series.n), ("alpha0", res.alpha0),
+           ("argmax_index", res.argmax_index), ("n", series.n), ("alpha0", res.alpha0),
            ("empty_range", res.empty_range)], fmt)
     if args.trace:
         comp = hc_components(series)
@@ -200,7 +202,7 @@ def _cmd_select(args, fmt):
 
 def _load_test_matrix(path):
     """Sample rows of a labeled matrix (labels ignored) or of a plain one."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         first = fh.readline()
     if first.split(",")[0].strip().lower() == "label":
         return ingest_labeled(path).data
@@ -212,12 +214,7 @@ def _cmd_classify(args, fmt):
     scores = hct.decision_scores(model, _load_test_matrix(args.test))
     preds = np.where(scores >= 0.0, 1, -1)
     rows = [(i + 1, int(preds[i]), scores[i]) for i in range(len(scores))]
-    if args.out:
-        _write_csv(args.out, ["index", "prediction", "score"], rows, fmt)
-    else:
-        print("index,prediction,score")
-        for row in rows:
-            print(f"{row[0]},{row[1]},{fmt(row[2])}")
+    _write_csv(args.out, ["index", "prediction", "score"], rows, fmt)
     _emit([("n", len(scores)), ("positive", int((preds == 1).sum())),
            ("negative", int((preds == -1).sum()))], fmt)
 
@@ -241,8 +238,7 @@ def _cmd_cov_clique(args, fmt):
     data, _ = ingest_plain(args.input)
     res = covtest.clique_test(data, mode=args.mode, alpha0=args.alpha0,
                               side=args.side, center=not args.no_center)
-    _emit([("score", res.score), ("mode", args.mode),
-           ("argmax_index", res.argmax_index if res.argmax_index is not None else ""),
+    _emit([("score", res.score), ("mode", args.mode), ("argmax_index", res.argmax_index),
            ("n", data.shape[0]), ("p", data.shape[1])], fmt)
 
 
@@ -263,13 +259,8 @@ def _cmd_cov_eigen(args, fmt):
 
 def _cmd_pairs(args, fmt):
     if args.simulate:
-        scores = []
-        for rep in range(args.reps):
-            x, y = pairhc.sample_bivariate_mixture(
-                args.n, args.epsilon, args.tau, args.rho, seed=RngSeed(args.seed, rep))
-            scores.append(pairhc.pair_hc_star(pairhc.RankedPairs.from_data(x, y),
-                                              args.alpha0).score)
-        scores = np.asarray(scores)
+        scores = pairhc.simulate_pair_scores(args.n, args.epsilon, args.tau, args.rho,
+                                             args.reps, args.seed, args.alpha0)
         _emit([("reps", args.reps), ("median_score", float(np.median(scores))),
                ("min_score", scores.min()), ("max_score", scores.max()),
                ("epsilon", args.epsilon), ("tau", args.tau), ("rho", args.rho)], fmt)
@@ -291,15 +282,7 @@ def _cmd_pairs(args, fmt):
 def _cmd_phase(args, fmt):
     rows = phase.boundary_table(args.theta, args.grid, r=args.r)
     header = ["vartheta", "rho", "rho_theta", "qideal_phase", "qideal_value"]
-    if args.out:
-        _write_csv(args.out, header,
-                   [(r["vartheta"], r["rho"], r["rho_theta"], r["qideal_phase"],
-                     r["qideal_value"]) for r in rows], fmt)
-    else:
-        print(",".join(header))
-        for r in rows:
-            print(",".join([fmt(r["vartheta"]), fmt(r["rho"]), fmt(r["rho_theta"]),
-                            r["qideal_phase"], fmt(r["qideal_value"])]))
+    _write_csv(args.out, header, [[r[h] for h in header] for r in rows], fmt)
     _emit([("rows", len(rows)), ("theta", args.theta)], fmt)
 
 
@@ -425,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _usage_problems(args):
     """Option combinations argparse cannot check: (violated, message) pairs."""
+    yield args.precision < 0, "--precision must be >= 0"
     if args.subcommand == "pairs":
         yield not (args.simulate or args.input), "needs --input or --simulate"
         yield args.simulate and args.seed is None, "--simulate requires --seed"

@@ -89,16 +89,17 @@ def pairwise_pvalue(rho, n: int, side: str = "two"):
     """P-value of one pairwise correlation under the identity covariance.
 
     P(rho_ij >= rho) = P(t_{n-1} >= sqrt(n-1) rho / sqrt(1-rho^2)); the
-    two-sided version is 2 min(p, 1-p). |rho| = 1 is clamped to the open
-    interval before the transform.
+    two-sided version is 2 P(t_{n-1} >= |t|), which keeps the tail precision
+    of negative correlations. |rho| = 1 is clamped to the open interval
+    before the transform.
     """
     if n < 3:
         raise InvalidInputError(f"need n >= 3, got {n}")
     if side not in ("upper", "two"):
         raise InvalidInputError(f"side must be 'upper' or 'two', got {side!r}")
     scalar = np.isscalar(rho)
-    upper = student_t_sf(_rho_to_t(rho, n), n - 1)
-    out = upper if side == "upper" else 2.0 * np.minimum(upper, 1.0 - upper)
+    t = _rho_to_t(rho, n)
+    out = student_t_sf(t, n - 1) if side == "upper" else 2.0 * student_t_sf(np.abs(t), n - 1)
     out = clamp_pvalues(out)
     return float(out) if scalar else out
 

@@ -8,7 +8,6 @@ clamp into [MIN_PVALUE, 1.0] because the HC objective divides by pi*(1-pi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +58,24 @@ def as_generator(seed, stream_id: int = 0) -> np.random.Generator:
     return RngSeed(int(seed), stream_id).generator()
 
 
-def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidInputError(f"{name} must be finite, got {x}")
-    return x
+def _elementwise(fn, x):
+    """fn over x as a float array; a float when x is a scalar. Refuses NaN and inf."""
+    scalar = np.isscalar(x)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"x must be finite, got {x}" if scalar else "x must be finite")
+    out = fn(arr)
+    return float(out) if scalar else out
 
 
 def std_normal_cdf(x):
     """Phi(x) via erfc; vectorized, absolute error well below 1e-12."""
-    if np.isscalar(x):
-        _require_finite(x, "x")
-        return float(special.ndtr(x))
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("x must be finite")
-    return special.ndtr(x)
+    return _elementwise(special.ndtr, x)
 
 
 def std_normal_sf(x):
     """Upper tail 1 - Phi(x), computed as Phi(-x) to keep tail precision."""
-    if np.isscalar(x):
-        _require_finite(x, "x")
-        return float(special.ndtr(-x))
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("x must be finite")
-    return special.ndtr(-x)
+    return std_normal_cdf(np.negative(x))
 
 
 def std_normal_quantile(p):
@@ -105,26 +95,17 @@ def student_t_cdf(x, df: int):
     """
     if df < 1:
         raise InvalidInputError(f"df must be >= 1, got {df}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("x must be finite")
-    tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
-    out = np.where(x >= 0, 1.0 - tail, tail)
-    return float(out) if scalar else out
+
+    def cdf(x):
+        tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
+        return np.where(x >= 0, 1.0 - tail, tail)
+
+    return _elementwise(cdf, x)
 
 
 def student_t_sf(x, df: int):
-    """Upper tail of the central Student t, accurate for large x."""
-    if df < 1:
-        raise InvalidInputError(f"df must be >= 1, got {df}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("x must be finite")
-    tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
-    out = np.where(x >= 0, tail, 1.0 - tail)
-    return float(out) if scalar else out
+    """Upper tail of the central Student t, computed as F(-x) for large-x accuracy."""
+    return student_t_cdf(np.negative(x), df)
 
 
 def binomial_kl(p0: float, p1: float) -> float:

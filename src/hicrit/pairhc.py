@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _streams
 from .errors import InvalidInputError
 from .hc_core import HcResult
-from .numerics import as_generator
+from .numerics import RngSeed, as_generator
 
 __all__ = [
     "RankedPairs",
@@ -25,6 +26,7 @@ __all__ = [
     "pair_hc_components",
     "pair_hc_star",
     "sample_bivariate_mixture",
+    "simulate_pair_scores",
     "PAPER_SETTINGS",
 ]
 
@@ -159,3 +161,23 @@ def sample_bivariate_mixture(n: int, epsilon: float, tau: float, rho: float,
     x = x + tau * flags
     y = y + tau * flags
     return x, y
+
+
+def _simulation_batch(params, b: int, rng) -> np.ndarray:
+    n, epsilon, tau, rho, alpha0 = params
+    samples = (sample_bivariate_mixture(n, epsilon, tau, rho, seed=rng) for _ in range(b))
+    return np.array([pair_hc_star(RankedPairs.from_data(x, y), alpha0).score for x, y in samples])
+
+
+def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: int,
+                         seed: int, alpha0: float = 0.5) -> np.ndarray:
+    """pair_hc_star scores of ``reps`` mixture samples of n pairs.
+
+    Replicate k is drawn from its own Philox stream RngSeed(seed, k).
+    """
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 pairs, got n={n}")
+    if reps < 1:
+        raise InvalidInputError(f"reps must be positive, got {reps}")
+    return _streams.run(_simulation_batch, (n, epsilon, tau, rho, alpha0), reps, 1, 2 * n,
+                        RngSeed(seed), 1)

@@ -156,3 +156,11 @@ def phase_qideal_oracle(v, r, theta):
         if r > v / 3:
             return float((v - r) / (2 * r)), "II"
         return 1.0, "III"
+
+
+def pairwise_two_sided_oracle(r, n):
+    """P(|t_{n-1}| >= sqrt(n-1)|r|/sqrt(1-r^2)) = I_{1-r^2}((n-1)/2, 1/2), in mpmath."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        return float(mpmath.betainc(mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - r * r,
+                                    regularized=True))

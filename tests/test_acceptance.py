@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from hicrit.arw import (ArwParams, detection_experiment, _mixture_scores,
-                        _NULL_STREAMS)
+from hicrit import _streams
+from hicrit.arw import ArwParams, detection_experiment, _mixture_job, _NULL_STREAMS
 from hicrit.calibrate import (empirical_quantile, gumbel_critical, simulate_critical,
                               simulate_null_scores)
 from hicrit.covtest import (clique_test, eigen_hc_test, eigen_null_profile,
@@ -248,7 +248,7 @@ def test_criterion_11_null_size_suite():
 
     cal = simulate_null_scores(5000, "plus", 0.5, 20_000, seed=910)
     thr = empirical_quantile(cal, 0.05)
-    fresh = _mixture_scores(5000, 0.0, 0.0, "plus", 0.5, 2000, 911, _NULL_STREAMS, 1)
+    fresh = _streams.run(*_mixture_job(5000, 0.0, 0.0, "plus", 0.5, 2000, 911, _NULL_STREAMS), 1)
     sizes["hc_plus"] = float(np.mean(fresh > thr))
 
     def clique_null(seed, reps):

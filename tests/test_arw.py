@@ -9,7 +9,7 @@ from scipy.special import ndtr
 from hicrit import _streams
 from hicrit.arw import (ArwParams, detection_experiment, permutation_pvalue,
                         permutation_test, pvalues_one_sided, pvalues_two_sided,
-                        sample_mixture, _mixture_batch, _mixture_scores, _NULL_STREAMS)
+                        sample_mixture, _mixture_batch, _mixture_job, _NULL_STREAMS)
 from hicrit.calibrate import STREAM_BLOCK, _null_batch, simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import hc_scores_sorted_batch
@@ -70,7 +70,8 @@ def test_pvalues_two_sided():
 def test_normal_null_matches_uniform_null():
     # One-sided P-values of exact N(0,1) draws are uniform: the hc_star score
     # distributions must agree (two-sample KS over 1000 scores each).
-    normal_scores = _mixture_scores(500, 0.0, 0.0, "star", 0.5, 1000, 13, _NULL_STREAMS, 1)
+    normal_scores = _streams.run(*_mixture_job(500, 0.0, 0.0, "star", 0.5, 1000, 13,
+                                               _NULL_STREAMS), 1)
     uniform_scores = simulate_null_scores(500, "star", 0.5, 1000, seed=14)
     assert ks_2samp(normal_scores, uniform_scores).statistic <= 0.08
 

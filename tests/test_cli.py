@@ -368,3 +368,62 @@ def test_phase_cli(tmp_path, capsys):
     rows = open(out_csv).read().strip().splitlines()
     assert len(rows) == 201
     assert "nan" not in open(out_csv).read().lower()
+
+
+def test_non_utf8_input_exits_3_naming_the_file(labeled_file, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
+    lines = tmp_path / "p.txt"
+    lines.write_bytes(b"0.1\n\xff\xfe0.2\n")
+    table = tmp_path / "m.csv"
+    table.write_bytes(b"a,b\n1,2\n\xe9,3\n")
+    labeled = tmp_path / "l.csv"
+    labeled.write_bytes(open(labeled_file, "rb").read() + b"1,\xe9\n")
+    for argv, path in ((("score", "--input", str(lines)), lines),
+                       (("score", "--input", str(table), "--column", "a"), table),
+                       (("cov-clique", "--input", str(table)), table),
+                       (("classify", "--model", model, "--test", str(labeled)), labeled),
+                       (("classify", "--model", model, "--test", str(lines)), lines)):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, (argv, err)
+        assert err.startswith(f"error: {path}: not utf-8 text")
+
+
+def test_nonpositive_n_exits_3(tmp_path, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    for n in ("0", "-5"):
+        code, _, err = run(capsys, "calibrate", "--n", n, "--alpha", "0.05", "--reps", "200",
+                           "--seed", "1", "--cache", cache, "--threads", "2")
+        assert code == 3 and "empty index range" in err
+        code, _, err = run(capsys, "detect-sim", "--n", n, "--epsilon", "0.1", "--tau", "1",
+                           "--reps", "10", "--seed", "1", "--threads", "2")
+        assert code == 3 and "empty index range" in err
+    assert not os.path.exists(cache)
+
+
+def test_negative_precision_is_a_usage_error(pvals_file, capsys):
+    code, out, err = run(capsys, "score", "--input", pvals_file, "--precision", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: hicrit score ") and "--precision must be >= 0" in err
+    code, out, _ = run(capsys, "score", "--input", pvals_file, "--precision", "0")
+    assert code == 0 and "score=" in out
+
+
+def test_pairs_simulate_zero_reps_exits_3(capsys):
+    code, out, err = run(capsys, "pairs", "--simulate", "--n", "50", "--reps", "0",
+                         "--seed", "1")
+    assert code == 3 and "reps must be positive" in err and "median_score" not in out
+
+
+def test_tables_on_stdout_match_the_out_file(labeled_file, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
+    for argv in (("classify", "--model", model, "--test", labeled_file),
+                 ("phase", "--theta", "0.2", "--grid", "9", "--r", "0.3")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"{argv[0]}.csv"
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        table = open(path, newline="").read()
+        assert table.endswith("\r\n")
+        assert out.startswith(table.replace("\r\n", "\n"))

@@ -14,6 +14,8 @@ from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
 from hicrit.errors import InvalidInputError, ValidationError
 from hicrit.numerics import RngSeed
 
+import oracles
+
 # mpmath: P(t_4 >= 2*0.5/sqrt(0.75)) = 5/32 exactly.
 SF_T4 = 0.15625
 
@@ -27,6 +29,19 @@ def test_pairwise_pvalue_examples():
     assert pairwise_pvalue(1.0, 5, side="upper") == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         pairwise_pvalue(0.5, 2)
+
+
+def test_two_sided_pvalue_is_symmetric_and_accurate():
+    # 2*min(p, 1-p) lost every digit for negative correlations: -0.8 at n=100
+    # came out as the 1e-300 clamp instead of 1.08e-23.
+    assert pairwise_pvalue(-0.8, 100) == pairwise_pvalue(0.8, 100)
+    assert pairwise_pvalue(-0.8, 100) == pytest.approx(1.0827368512e-23, rel=1e-9)
+    r = np.linspace(0.0, 0.95, 39)
+    for n in (5, 30, 100, 400):
+        two = pairwise_pvalue(r, n)
+        assert np.array_equal(pairwise_pvalue(-r, n), two)
+        want = [max(oracles.pairwise_two_sided_oracle(v, n), 1e-300) for v in r]
+        np.testing.assert_allclose(two, want, rtol=1e-10)
 
 
 def test_pairwise_pvalues_uniform_under_null():

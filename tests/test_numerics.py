@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy import special
+
 from hicrit.errors import InvalidInputError
 from hicrit.numerics import (RngSeed, as_generator, binomial_kl, binomial_kl_array,
                              clamp_pvalues, std_normal_cdf, std_normal_quantile,
@@ -138,3 +140,28 @@ def test_clamp_pvalues():
     assert out[2] == 0.5
     assert out[3] == 1.0
     assert out[4] == 1.0
+
+
+def test_tails_are_bit_identical_to_their_direct_formulas():
+    # The upper tails are the CDFs at -x; they must keep the bits of the
+    # direct formulas ndtr(-x) and the mirrored incomplete-beta tail.
+    grid = [0, 0.0, -0.0, 1, -1, 1.0, -1.0, -40.0, 40.0, 3e5, -3e5, 2.5]
+    arr = np.array(grid, dtype=float)
+    for x in grid:
+        assert type(std_normal_sf(x)) is float and type(std_normal_cdf(x)) is float
+        assert std_normal_sf(x) == special.ndtr(-float(x))
+        assert std_normal_cdf(x) == special.ndtr(float(x))
+    for form in (arr, list(arr), arr.reshape(3, 4)):
+        assert np.array_equal(std_normal_sf(form), special.ndtr(-np.asarray(form)))
+    for df in range(1, 149):
+        tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + arr * arr))
+        assert np.array_equal(student_t_sf(arr, df), np.where(arr >= 0, tail, 1.0 - tail))
+        assert np.array_equal(student_t_cdf(arr, df), np.where(arr >= 0, 1.0 - tail, tail))
+        assert np.array_equal(student_t_sf(list(arr), df), student_t_sf(arr, df))
+        assert [student_t_sf(x, df) for x in grid] == list(student_t_sf(arr, df))
+    with pytest.raises(InvalidInputError):
+        std_normal_sf([0.0, math.nan])
+    with pytest.raises(InvalidInputError):
+        student_t_sf(math.inf, 3)
+    with pytest.raises(InvalidInputError):
+        student_t_sf(1.0, 0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hicrit.errors import InvalidInputError
+from hicrit.numerics import RngSeed
 from hicrit.pairhc import (PAPER_SETTINGS, RankedPairs, corner_counts,
-                           pair_hc_components, pair_hc_star, sample_bivariate_mixture)
+                           pair_hc_components, pair_hc_star, sample_bivariate_mixture,
+                           simulate_pair_scores)
 
 import oracles
 
@@ -176,3 +178,18 @@ def test_paper_settings_preset():
         assert abs(s["rho"]) < 1.0
         x, y = sample_bivariate_mixture(50, s["epsilon"], s["tau"], s["rho"], seed=8)
         assert x.size == 50 and y.size == 50
+
+
+def test_simulated_scores_use_one_stream_per_replicate():
+    for n, eps, tau, rho, alpha0 in ((200, 0.05, 1.0, 0.25, 0.5), (60, 0.0, 0.0, 0.0, 0.3)):
+        want = []
+        for rep in range(25):
+            x, y = sample_bivariate_mixture(n, eps, tau, rho, seed=RngSeed(7, rep))
+            want.append(pair_hc_star(RankedPairs.from_data(x, y), alpha0).score)
+        got = simulate_pair_scores(n, eps, tau, rho, 25, 7, alpha0)
+        assert np.array_equal(got, np.array(want))
+    with pytest.raises(InvalidInputError):
+        simulate_pair_scores(50, 0.0, 0.0, 0.0, 0, 1)
+    for n in (1, 0, -5):
+        with pytest.raises(InvalidInputError):
+            simulate_pair_scores(n, 0.0, 0.0, 0.0, 3, 1)
