@@ -47,14 +47,30 @@ def open_text(path, **kwargs):
             raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
-def _read_csv(path):
-    """Non-blank CSV rows, each paired with its file line number."""
+def _read_table(path, header_only: bool = False):
+    """(stripped header, its file line, data rows as (file line, cells) pairs) of a
+    CSV file, blank lines skipped; header_only reads no row past the header."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+        rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+        first = next(rows, None)
+        if first is None:
+            raise ValidationError(f"{path}: empty file")
+        data = [] if header_only else list(rows)
+    line, header = first
+    return [h.strip() for h in header], line, data
+
+
+def _matrix(path, line, header, rows) -> np.ndarray:
+    """Float matrix of data rows that each hold one cell per header name."""
     if not rows:
-        raise ValidationError(f"{path}: empty file")
-    return rows
+        raise ValidationError(f"{path}: no data rows", row=line)
+    data = []
+    for i, row in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"expected {len(header)} cells, got {len(row)}", row=i)
+        data.append([_parse_cell(cell, i, header[j]) for j, cell in enumerate(row)])
+    return np.asarray(data)
 
 
 def ingest_pvalues(path, column=None) -> PValueSeries:
@@ -66,16 +82,14 @@ def ingest_pvalues(path, column=None) -> PValueSeries:
         if not cells:
             raise ValidationError(f"{path}: empty file")
     else:
-        rows = _read_csv(path)
-        line, header = rows[0]
-        header = [h.strip() for h in header]
+        header, line, rows = _read_table(path)
         if column not in header:
             raise ValidationError(f"column {column!r} not found in header {header}", row=line)
         j = header.index(column)
-        if len(rows) < 2:
+        if not rows:
             raise ValidationError(f"{path}: no data rows", row=line)
         cells = []
-        for i, row in rows[1:]:
+        for i, row in rows:
             if j >= len(row):
                 raise ValidationError("missing cell", row=i, column=column)
             cells.append((i, row[j]))
@@ -88,65 +102,50 @@ def ingest_pvalues(path, column=None) -> PValueSeries:
     return PValueSeries.from_unsorted(values)
 
 
-def ingest_labeled(path, warn=None) -> LabeledMatrix:
+def ingest_labeled(path) -> LabeledMatrix:
     """Labeled sample matrix: header, first column 'label' in {-1, +1}.
 
-    A {1, 2} label alphabet is remapped (1 -> +1, 2 -> -1) with a warning
-    through ``warn`` (defaults to stderr).
+    A {1, 2} label alphabet is remapped (1 -> +1, 2 -> -1) with a warning on
+    stderr. A label error names the first data line at fault.
     """
-    warn = warn or (lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    rows = _read_csv(path)
-    line, header = rows[0]
-    header = [h.strip() for h in header]
-    if not header or header[0].lower() != "label":
+    header, line, rows = _read_table(path)
+    if header[0].lower() != "label":
         raise ValidationError(f"first column must be 'label', got {header[:1]}", row=line)
     names = header[1:]
     if not names:
         raise ValidationError("no feature columns", row=line)
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows", row=line)
-    labels, data = [], []
-    for i, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValidationError(f"expected {len(header)} cells, got {len(row)}", row=i)
-        labels.append(_parse_cell(row[0], i, "label"))
-        data.append([_parse_cell(cell, i, names[j]) for j, cell in enumerate(row[1:])])
-    labels = np.asarray(labels)
-    if not np.all(labels == labels.astype(int)):
-        raise ValidationError("labels must be integers")
+    matrix = _matrix(path, line, ["label"] + names, rows)
+    labels = matrix[:, 0]
+    bad = labels != labels.astype(int)
+    if bad.any():
+        raise ValidationError("labels must be integers", row=rows[bad.argmax()][0], column="label")
     labels = labels.astype(int)
     present = set(labels.tolist())
     if present <= {1, 2} and 2 in present:
-        warn("labels {1, 2} remapped to {+1, -1} (1 -> +1, 2 -> -1)")
+        print("warning: labels {1, 2} remapped to {+1, -1} (1 -> +1, 2 -> -1)", file=sys.stderr)
         labels = np.where(labels == 1, 1, -1)
     elif not present <= {-1, 1}:
-        raise ValidationError(f"label alphabet must be {{-1, +1}} or {{1, 2}}, got {sorted(present)}")
-    return LabeledMatrix(np.asarray(data), labels, names)
+        # At fault: the first line by which the labels fit neither alphabet.
+        at = max(np.argmax(~np.isin(labels, a)) for a in ((-1, 1), (1, 2)))
+        raise ValidationError(f"label alphabet must be {{-1, +1}} or {{1, 2}}, got {sorted(present)}",
+                              row=rows[at][0], column="label")
+    return LabeledMatrix(matrix[:, 1:], labels, names)
 
 
 def ingest_plain(path):
     """Numeric matrix with a header row; returns (matrix, column names)."""
-    rows = _read_csv(path)
-    line, header = rows[0]
-    header = [h.strip() for h in header]
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: no data rows", row=line)
-    data = []
-    for i, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValidationError(f"expected {len(header)} cells, got {len(row)}", row=i)
-        data.append([_parse_cell(cell, i, header[j]) for j, cell in enumerate(row)])
-    return np.asarray(data), header
+    header, line, rows = _read_table(path)
+    return _matrix(path, line, header, rows), header
 
 
 def ingest_pairs(path):
     """Two numeric columns (x, y by name if present, else the first two)."""
-    matrix, header = ingest_plain(path)
-    if matrix.shape[1] < 2:
-        raise ValidationError("need two columns for bivariate pairs", row=1)
+    header, line, rows = _read_table(path)
+    if len(header) < 2:
+        raise ValidationError("need two columns for bivariate pairs", row=line)
+    matrix = _matrix(path, line, header, rows)
     if "x" in header and "y" in header:
         ix, iy = header.index("x"), header.index("y")
     else:
         ix, iy = 0, 1
     return matrix[:, ix], matrix[:, iy]
-

@@ -185,6 +185,7 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     """
     if reps < 2:
         raise InvalidInputError(f"need reps >= 2, got {reps}")
+    calibrate._check_level(alpha)
     n, eps, t = _mixture_spec(params, epsilon, tau)
     _index_range(alpha0, n)
     base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))

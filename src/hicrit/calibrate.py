@@ -52,6 +52,11 @@ class CriticalValueEntry:
     rng_version: str = RNG_VERSION
 
 
+def _check_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+
+
 def gumbel_critical(N: int, alpha: float) -> float:
     """Closed-form h_G(N, alpha) from the Gumbel limit of the HC null.
 
@@ -60,8 +65,7 @@ def gumbel_critical(N: int, alpha: float) -> float:
     """
     if N < 16:
         raise InvalidInputError(f"N must be >= 16 for the iterated logarithms, got {N}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_level(alpha)
     ll = math.log(math.log(N))
     b = math.sqrt(2.0 * ll)
     c = 2.0 * ll + 0.5 * (math.log(ll) - math.log(4.0 * math.pi))
@@ -95,8 +99,7 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
 
 def empirical_quantile(scores: np.ndarray, alpha: float) -> float:
     """(1-alpha) quantile as the order statistic at ceil((1-alpha)*R)."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_level(alpha)
     s = np.sort(np.asarray(scores, dtype=float))
     r = s.size
     idx = int(math.ceil((1.0 - alpha) * r - 1e-9))
@@ -152,9 +155,12 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     touching the cache. Hits require an exact (N, alpha, variant, alpha0)
     match; among those, ``_store.best`` picks the hit. A hit is returned
     whatever ``seed`` asks for: the entry names the seed that produced it.
+    N, alpha and alpha0 are checked before the cache is read.
     """
     if policy not in ("cache_only", "simulate_if_missing", "gumbel_fallback"):
         raise InvalidInputError(f"unknown policy {policy!r}")
+    _index_range(alpha0, N)
+    _check_level(alpha)
     wanted = (N, float(alpha), variant, float(alpha0))
     hit = _store.best([e for e in (load_cache(cache_path) if cache_path else [])
                        if (e.N, e.alpha, e.variant, e.alpha0) == wanted], replicates)

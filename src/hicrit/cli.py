@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
-from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues, open_text
+from ._io import _read_table, ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
 from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
 from .numerics import RNG_VERSION
@@ -202,9 +202,7 @@ def _cmd_select(args, fmt):
 
 def _load_test_matrix(path):
     """Sample rows of a labeled matrix (labels ignored) or of a plain one."""
-    with open_text(path, newline="") as fh:
-        first = fh.readline()
-    if first.split(",")[0].strip().lower() == "label":
+    if _read_table(path, header_only=True)[0][0].lower() == "label":
         return ingest_labeled(path).data
     return ingest_plain(path)[0]
 

@@ -104,21 +104,28 @@ def pairwise_pvalue(rho, n: int, side: str = "two"):
     return float(out) if scalar else out
 
 
-def rowmax_cdf(rho, n: int, p: int):
-    """F_{p,n}(rho) = P(max of a row's p-1 correlations <= rho) under the null."""
+def _rowmax_t(rho, n: int, p: int):
     if n < 3:
         raise InvalidInputError(f"need n >= 3, got {n}")
     if p < 2:
         raise InvalidInputError(f"need p >= 2, got {p}")
+    return _rho_to_t(rho, n)
+
+
+def rowmax_cdf(rho, n: int, p: int):
+    """F_{p,n}(rho) = P(max of a row's p-1 correlations <= rho) under the null."""
     scalar = np.isscalar(rho)
-    out = student_t_cdf(_rho_to_t(rho, n), n - 1) ** (p - 1)
+    out = student_t_cdf(_rowmax_t(rho, n, p), n - 1) ** (p - 1)
     return float(out) if scalar else out
 
 
 def rowmax_pvalue(rho, n: int, p: int):
-    """Upper-tail P-value 1 - F_{p,n}(rho) for a row-maximum correlation."""
+    """Upper-tail P-value 1 - F_{p,n}(rho) for a row-maximum correlation, computed as
+    -expm1((p-1) log1p(-sf)) from the t upper tail sf so that no digits cancel."""
     scalar = np.isscalar(rho)
-    out = clamp_pvalues(1.0 - rowmax_cdf(rho, n, p))
+    sf = student_t_sf(_rowmax_t(rho, n, p), n - 1)
+    with np.errstate(divide="ignore"):  # sf == 1: log1p gives -inf, the P-value 1
+        out = clamp_pvalues(-np.expm1((p - 1) * np.log1p(-sf)))
     return float(out) if scalar else out
 
 

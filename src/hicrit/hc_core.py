@@ -153,12 +153,6 @@ def _components(p: np.ndarray, n: int) -> np.ndarray:
     return comp
 
 
-def _restrict_plus(comp: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
-    """Exclude (in place) the components with p_(i) <= 1/N: the plus variant's guard."""
-    comp[p <= 1.0 / n] = -np.inf
-    return comp
-
-
 def hc_components(series: SeriesLike) -> np.ndarray:
     """All N component scores sqrt(N)*(i/N - p_(i))/sqrt(p_(i)(1-p_(i))).
 
@@ -178,18 +172,19 @@ def hc_component(i: int, series: SeriesLike) -> float:
     return float(hc_components(s)[i - 1])
 
 
-def _max_over(comp: np.ndarray, variant: str, alpha0: float) -> HcResult:
+def _max_over(values: np.ndarray, lo: int, hi: int, variant: str, alpha0: float) -> HcResult:
+    """Max component of an ascending series over its 1-based indices lo < i <= hi."""
+    comp = _components(values[:hi], values.size)[lo:]
     if comp.size == 0 or not np.any(comp > -np.inf):
         return HcResult(-math.inf, None, variant, alpha0, empty_range=True)
     k = int(np.argmax(comp))  # first occurrence: ties resolve to smallest i
-    return HcResult(float(comp[k]), k + 1, variant, alpha0)
+    return HcResult(float(comp[k]), lo + k + 1, variant, alpha0)
 
 
 def hc_star(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
     """Orthodox HC: max component over 1 <= i <= floor(alpha0*N)."""
     s = as_series(series)
-    k_max = _index_range(alpha0, s.n)
-    return _max_over(_components(s.values[:k_max], s.n), "star", alpha0)
+    return _max_over(s.values, 0, _index_range(alpha0, s.n), "star", alpha0)
 
 
 def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
@@ -198,8 +193,9 @@ def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
     Returns score -inf with empty_range=True when no index qualifies.
     """
     s = as_series(series)
-    p = s.values[:_index_range(alpha0, s.n)]
-    return _max_over(_restrict_plus(_components(p, s.n), p, s.n), "plus", alpha0)
+    k_max = _index_range(alpha0, s.n)
+    lo = int(np.searchsorted(s.values[:k_max], 1.0 / s.n, "right"))
+    return _max_over(s.values, lo, k_max, "plus", alpha0)
 
 
 def ohc_plus_band(series: SeriesLike, p_min: Optional[float] = None, p_max: float = 0.5) -> HcResult:
@@ -214,9 +210,9 @@ def ohc_plus_band(series: SeriesLike, p_min: Optional[float] = None, p_max: floa
         p_min = 1.0 / s.n
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise InvalidInputError(f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]")
-    comp = hc_components(s)
-    comp = np.where((s.values >= p_min) & (s.values <= p_max), comp, -np.inf)
-    return _max_over(comp, "plus", p_max)
+    lo = int(np.searchsorted(s.values, p_min, "left"))
+    hi = int(np.searchsorted(s.values, p_max, "right"))
+    return _max_over(s.values, lo, hi, "plus", p_max)
 
 
 def hc_feature_scores(series: SeriesLike) -> np.ndarray:
@@ -357,5 +353,5 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     ps = p[:, :_index_range(alpha0, n)]
     comp = _components(ps, n)
     if variant == "plus":
-        _restrict_plus(comp, ps, n)
+        comp[ps <= 1.0 / n] = -np.inf  # the plus variant's guard
     return comp.max(axis=1)

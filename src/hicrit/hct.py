@@ -324,6 +324,9 @@ def load_model(path) -> HctModel:
         raise InvalidInputError(f"{path}: malformed model field: {exc}") from None
     if p < 1:
         raise InvalidInputError(f"{path}: model p must be positive, got {p}")
+    if not 1 <= model["hct_index"] <= p:
+        raise InvalidInputError(
+            f"{path}: model hct_index must lie in [1, p = {p}], got {model['hct_index']}")
     for name in ("feature_means", "feature_sds", "feature_names"):
         if np.shape(model[name]) != (p,):
             raise InvalidInputError(

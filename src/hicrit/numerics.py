@@ -49,13 +49,13 @@ class RngSeed:
         return RngSeed(self.seed, stream_id)
 
 
-def as_generator(seed, stream_id: int = 0) -> np.random.Generator:
+def as_generator(seed) -> np.random.Generator:
     """Coerce an int seed, RngSeed, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, RngSeed):
-        return seed.stream(stream_id).generator() if stream_id else seed.generator()
-    return RngSeed(int(seed), stream_id).generator()
+        return seed.generator()
+    return RngSeed(int(seed)).generator()
 
 
 def _elementwise(fn, x):

@@ -151,7 +151,8 @@ def boundary_table(theta: float, grid_size: int, r: Optional[float] = None) -> l
     evaluated at the supplied r; without one they describe the limit just
     above the failure boundary at each vartheta (the lowest-r success phase),
     so the table never contains NaN. With an explicit r falling in the
-    failure region, the phase column reads "failure" and the value is None.
+    failure region, the phase column reads "failure" and the value is None;
+    an r <= 0 is refused.
     """
     if not 0.0 <= theta < 1.0:
         raise InvalidInputError(f"theta must lie in [0, 1), got {theta}")
@@ -164,13 +165,11 @@ def boundary_table(theta: float, grid_size: int, r: Optional[float] = None) -> l
         rho = detection_boundary(v, extended=True)
         rho_t = classification_boundary(v, theta)
         if r is not None:
-            if r <= rho_t + _TOL:
-                phase, value = "failure", None
-            else:
+            try:  # r <= 0 raises InvalidInputError, which is not caught here
                 fdr = ideal_fdr(v, r, theta)
                 phase, value = fdr.phase, fdr.value
-        elif rho_t >= v:
-            phase, value = "I", 0.0
+            except FailureRegionError:
+                phase, value = "failure", None
         elif rho_t >= v / 3.0:
             phase, value = "II", (v - rho_t) / (2.0 * rho_t)
         else:

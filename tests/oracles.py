@@ -164,3 +164,13 @@ def pairwise_two_sided_oracle(r, n):
         r = mpmath.mpf(r)
         return float(mpmath.betainc(mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - r * r,
                                     regularized=True))
+
+
+def rowmax_pvalue_oracle(r, n, p):
+    """1 - (1 - P(t_{n-1} >= sqrt(n-1) r/sqrt(1-r^2)))^(p-1), in mpmath."""
+    with mpmath.workdps(400):  # (1 - sf)^(p-1) must resolve sf near 1e-300
+        r = mpmath.mpf(r)
+        half = mpmath.betainc(mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - r * r,
+                              regularized=True) / 2
+        sf = half if r >= 0 else 1 - half
+        return float(1 - (1 - sf) ** (p - 1))

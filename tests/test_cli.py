@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hicrit import _streams
 from hicrit.cli import dispatch
 from hicrit.covtest import make_clique_sigma, sample_gaussian
 from hicrit.numerics import RNG_VERSION
@@ -125,14 +126,18 @@ def test_malformed_model_exits_3(labeled_file, tmp_path, capsys):
         "short_sds": json.dumps(dict(good, feature_sds=good["feature_sds"][1:])),
         "short_names": json.dumps(dict(good, feature_names=good["feature_names"][:2])),
         "weight_index": json.dumps(dict(good, weights={str(good["p"]): 1})),
+        "hct_index_zero": json.dumps(dict(good, hct_index=0)),
+        "hct_index_negative": json.dumps(dict(good, hct_index=-3)),
+        "hct_index_above_p": json.dumps(dict(good, hct_index=good["p"] + 1)),
     }
     for name, text in bad_models.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
-        for sub in ("classify", "evaluate"):
-            code, _, err = run(capsys, sub, "--model", str(path), "--test", labeled_file)
-            assert code == 3, (name, sub, err)
+        for argv in (("classify",), ("evaluate",), ("evaluate", "--out", str(tmp_path / "e.csv"))):
+            code, _, err = run(capsys, *argv, "--model", str(path), "--test", labeled_file)
+            assert code == 3, (name, argv, err)
             assert err.startswith("error: ")
+            assert "hct_index" in err or not name.startswith("hct_index")
 
 
 def test_usage_exit_codes(capsys):
@@ -369,6 +374,10 @@ def test_phase_cli(tmp_path, capsys):
     assert len(rows) == 201
     assert "nan" not in open(out_csv).read().lower()
 
+    for r in ("-1", "0"):
+        code, out, err = run(capsys, "phase", "--theta", "0.2", "--grid", "3", "--r", r)
+        assert code == 3 and "r must be positive" in err and "failure" not in out
+
 
 def test_non_utf8_input_exits_3_naming_the_file(labeled_file, tmp_path, capsys):
     model = str(tmp_path / "model.json")
@@ -399,6 +408,40 @@ def test_nonpositive_n_exits_3(tmp_path, capsys):
                            "--reps", "10", "--seed", "1", "--threads", "2")
         assert code == 3 and "empty index range" in err
     assert not os.path.exists(cache)
+
+
+def test_invalid_levels_exit_3_before_any_cache_or_simulation(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    cache = str(tmp_path / "c.jsonl")
+    calib = ["calibrate", "--seed", "1", "--cache", cache, "--threads", "1"]
+    cases = [
+        (calib + ["--n", "0", "--alpha", "0.05", "--policy", "cache_only"], "empty index range"),
+        (calib + ["--n", "100", "--alpha", "1.5", "--policy", "cache_only"], "alpha must lie"),
+        (calib + ["--n", "100000", "--alpha", "1.5", "--reps", "1024"], "alpha must lie"),
+        (["detect-sim", "--n", "100", "--epsilon", "0.1", "--tau", "1", "--reps", "10",
+          "--seed", "1", "--alpha", "1.5", "--critical", "3", "--threads", "1"], "alpha must lie"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and message in err, (argv, err)
+        assert "manifest=" not in out
+    assert not os.path.exists(cache)
+
+
+def test_classify_reads_a_labeled_file_with_a_leading_blank_line(labeled_file, tmp_path,
+                                                                  capsys):
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n" + open(labeled_file).read())
+    code, out, err = run(capsys, "classify", "--model", model, "--test", labeled_file)
+    assert code == 0, err
+    code, padded_out, err = run(capsys, "classify", "--model", model, "--test", str(padded))
+    assert code == 0, err
+    assert output_lines(padded_out) == output_lines(out)
 
 
 def test_negative_precision_is_a_usage_error(pvals_file, capsys):

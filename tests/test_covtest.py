@@ -60,6 +60,18 @@ def test_rowmax_examples():
     assert rowmax_pvalue(0.0, 10, 3) == pytest.approx(0.75, rel=1e-12)
 
 
+def test_rowmax_pvalue_is_accurate_in_the_tail():
+    # 1 - F^(p-1) cancelled to the 1e-300 clamp at (0.9, 100, 50), whose true
+    # value is 4.32e-36, and was 17% high at (0.7, 100, 50).
+    assert rowmax_pvalue(0.9, 100, 50) == pytest.approx(4.3176718e-36, rel=1e-7)
+    r = np.array([-0.5, -0.1, 0.0, 0.05, 0.2, 0.45, 0.7, 0.9])
+    for n, p in ((10, 3), (30, 10), (100, 50), (400, 400)):
+        got = rowmax_pvalue(r, n, p)
+        want = [max(oracles.rowmax_pvalue_oracle(v, n, p), 1e-300) for v in r]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        assert [rowmax_pvalue(float(v), n, p) for v in r] == got.tolist()
+
+
 def test_rowmax_pvalues_uniform_under_null():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((500, 1000))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hicrit.calibrate import empirical_quantile, simulate_null_scores
 from hicrit.errors import InvalidInputError
@@ -320,6 +322,53 @@ def test_batch_kernel_handles_p_equal_one():
     got = hc_scores_sorted_batch(row, "star", 1.0)
     want = hc_star(PValueSeries(row[0]), 1.0).score
     assert got[0] == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def edge_series(draw):
+    """Sorted P-values drawn to hit ties, p = 1 and values at or below 1/N."""
+    n = draw(st.integers(1, 40))
+    pool = st.sampled_from([1.0, 1.0 / n, 0.5 / n, 2.0 / n, 0.5, 1e-300])
+    cells = st.one_of(pool, st.floats(1e-300, 1.0))
+    return np.sort(np.array(draw(st.lists(cells, min_size=n, max_size=n))))
+
+
+def masked_max(p, keep):
+    """(score, 1-based argmax) of the components where ``keep`` holds, from all N."""
+    n = p.size
+    i = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp = math.sqrt(n) * (i / n - p) / np.sqrt(p * (1.0 - p))
+    comp[p == 1.0] = -np.inf
+    if p[-1] == 1.0:
+        comp[-1] = 0.0
+    comp = np.where(keep, comp, -np.inf)
+    if not np.any(comp > -np.inf):
+        return -math.inf, None
+    k = int(np.argmax(comp))
+    return float(comp[k]), k + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(p=edge_series(), alpha0=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+       band=st.sampled_from([(None, 0.5), (None, 1.0), (0.0, 0.05), (0.0, 1.0), (0.5, 0.5)]))
+def test_index_windows_equal_masked_maxima(p, alpha0, band):
+    n = p.size
+    i = np.arange(1, n + 1)
+    p_min, p_max = band
+    lo = 1.0 / n if p_min is None else p_min
+    if lo <= p_max:
+        res = ohc_plus_band(p, p_min, p_max)
+        assert (res.score, res.argmax_index) == masked_max(p, (p >= lo) & (p <= p_max))
+    k_max = int(math.floor(alpha0 * n + 1e-9))
+    if k_max < 1:
+        return
+    for variant, fn, keep in (("star", hc_star, i <= k_max),
+                              ("plus", hc_plus, (i <= k_max) & (p > 1.0 / n))):
+        res = fn(p, alpha0)
+        assert (res.score, res.argmax_index) == masked_max(p, keep)
+        assert res.empty_range == (res.argmax_index is None)
+        assert hc_scores_sorted_batch(p[None, :], variant, alpha0)[0] == res.score
 
 
 # --------------------------------------------------------------------------- null calibration

@@ -136,3 +136,6 @@ def test_boundary_table_with_explicit_r():
         boundary_table(1.5, 10)
     with pytest.raises(InvalidInputError):
         boundary_table(0.1, 0)
+    for r in (0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="r must be positive"):
+            boundary_table(0.2, 3, r=r)
