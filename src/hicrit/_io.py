@@ -47,16 +47,16 @@ def open_text(path, **kwargs):
             raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
-def _read_table(path, header_only: bool = False):
+def _read_table(path):
     """(stripped header, its file line, data rows as (file line, cells) pairs) of a
-    CSV file, blank lines skipped; header_only reads no row past the header."""
+    CSV file, blank lines skipped."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
         first = next(rows, None)
         if first is None:
             raise ValidationError(f"{path}: empty file")
-        data = [] if header_only else list(rows)
+        data = list(rows)
     line, header = first
     return [h.strip() for h in header], line, data
 

@@ -8,7 +8,8 @@ replicate count, the block size and the row size, never on the worker count,
 so results are bit-identical no matter how many worker processes are used.
 The blocks of every job of one experiment (``run_all``) share one process
 pool, so independent streams, such as a null and an alternative sample, run
-side by side even when each fits in a single block.
+side by side even when each fits in a single block; an experiment too small to
+repay the pool's start-up runs in this process.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .numerics import RngSeed
 
 # Cap on elements materialized per batch inside one stream (~100 MB).
 _BATCH_ELEMS = 12_500_000
+
+# Below this much work (replicates x row_elems over all jobs) run_all stays in
+# this process. A two-worker pool takes 12-16 ms to start on a 2-core host;
+# 1M elements is 20-25 ms of sampling, so the pool pays only above it.
+_POOL_MIN_ELEMS = 1_000_000
 
 
 def _run_stream(kernel, params, reps: int, row_elems: int, seed: RngSeed) -> np.ndarray:
@@ -38,14 +44,16 @@ def run_all(jobs, n_jobs: int) -> list:
     ``rng`` (one row each) and must be a picklable top-level function;
     ``row_elems`` is the number of elements one replicate materializes. The
     blocks of all jobs go to one process pool, in job order, only when
-    n_jobs > 1 and there is more than one block; list the costliest job first.
+    n_jobs > 1, there is more than one block and the jobs hold at least
+    _POOL_MIN_ELEMS elements in all; list the costliest job first.
     """
     blocks = [[(kernel, params, min(block, total - start), row_elems,
                 base.stream(base.stream_id + k))
                for k, start in enumerate(range(0, total, block))]
               for kernel, params, total, block, row_elems, base in jobs]
     tasks = [task for job in blocks for task in job]
-    if n_jobs > 1 and len(tasks) > 1:
+    work = sum(total * row_elems for _, _, total, _, row_elems, _ in jobs)
+    if n_jobs > 1 and len(tasks) > 1 and work >= _POOL_MIN_ELEMS:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
             parts = iter(list(pool.map(_run_stream, *zip(*tasks), chunksize=1)))
     else:

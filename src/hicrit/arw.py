@@ -3,10 +3,13 @@
 The alternative draws each coordinate nonnull with probability epsilon and
 shifts it by tau; P-values come from the standard normal. The experiment
 harness scores repeated null/alternative draws with an HC variant against a
-calibrated critical value; both samples run in one stream-runner pool, and
-only the floor(alpha0*N) smallest P-values of a draw, the ones the HC kernel
-reads, are computed. A permutation scheme (independent row shuffles per
-column) supplies P-values for HC scores on real labeled matrices.
+calibrated critical value; both samples run in one stream-runner pool. Draws
+are made in P-value space and only the floor(alpha0*N) smallest P-values, the
+ones the HC kernel reads, are made at all: a Binomial(N, epsilon) count of
+nonnulls, Renyi's representation for the smallest null P-values, and ndtr on
+the nonnulls alone. A permutation scheme (independent row shuffles per
+column, on the stream runner) supplies P-values for HC scores on real
+labeled matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.special import ndtr
 from . import _streams, calibrate, hct
 from .errors import InvalidInputError
 from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
-from .numerics import RngSeed, as_generator, clamp_pvalues
+from .numerics import RngSeed, as_generator, as_seed, clamp_pvalues
 
 __all__ = [
     "ArwParams",
@@ -121,25 +124,37 @@ def pvalues_two_sided(x) -> PValueSeries:
 
 
 def _mixture_batch(params, b: int, rng) -> np.ndarray:
+    """HC scores of b mixture draws, each made in P-value space.
+
+    Per row, m ~ Binomial(n, eps) coordinates are nonnull. The n - m null
+    P-values are uniform, so the min(k, n - m) smallest of them come from
+    ``calibrate._null_window``, k = floor(alpha0*n); only the m nonnull
+    P-values go through ndtr, in one call for the batch. Each row's nonnulls
+    are written after its null window and padded with inf to the widest row;
+    a stable sort of that prefix merges them, and the first k columns hold the
+    k smallest. RNG use: the b binomials, the b*k exponentials and the b
+    gammas of the null windows, then the sum(m) normals, row after row.
+    """
     n, eps, tau, variant, alpha0 = params
-    x = rng.standard_normal((b, n))
-    if eps > 0.0:
-        np.add(x, tau, out=x, where=rng.random((b, n)) < eps)
-    # ndtr and the clamp are monotone, so the k smallest P-values in order are
-    # the transforms of the k smallest -x in order; the kernel reads no more.
-    np.negative(x, out=x)
     k = _index_range(alpha0, n)
-    if k < n:
-        x.partition(k - 1, axis=-1)
-    window = x[:, :k]
-    window.sort(axis=-1)
-    window[...] = clamp_pvalues(ndtr(window))
-    return hc_scores_sorted_batch(x, variant, alpha0)
+    m = rng.binomial(n, eps, b)
+    out = np.empty((b, n))
+    calibrate._null_window(b, n - m, k, rng, out)
+    k0 = np.minimum(k, n - m)
+    alt = clamp_pvalues(ndtr(-tau - rng.standard_normal(m.sum())))
+    width = int((k0 + m).max())
+    out[:, k:width] = np.inf
+    first = np.cumsum(m) - m
+    out[np.repeat(np.arange(b), m), np.arange(alt.size) + np.repeat(k0 - first, m)] = alt
+    out[:, :width].sort(axis=1, kind="stable")
+    return hc_scores_sorted_batch(out, variant, alpha0)
 
 
 def _mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base):
-    return (_mixture_batch, (n, eps, tau, variant, alpha0), reps, calibrate.STREAM_BLOCK, n,
-            RngSeed(seed, stream_base))
+    # With no nonnulls the mixture is the uniform null: draw it as calibrate does.
+    kernel, params = ((calibrate._null_batch, (n, variant, alpha0)) if eps == 0.0 else
+                      (_mixture_batch, (n, eps, tau, variant, alpha0)))
+    return kernel, params, reps, calibrate.STREAM_BLOCK, n, RngSeed(seed, stream_base)
 
 
 @dataclass(frozen=True)
@@ -188,10 +203,10 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     calibrate._check_level(alpha)
     n, eps, t = _mixture_spec(params, epsilon, tau)
     _index_range(alpha0, n)
-    base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
+    base = as_seed(seed)
     if critical is None:
         entry = calibrate.simulate_critical(
-            n, alpha, variant, alpha0, max(100, calibration_reps),
+            n, alpha, variant, alpha0, calibration_reps,
             RngSeed(base.seed, _CALIB_STREAMS), n_jobs=n_jobs)
         critical = entry.quantile
     alt_scores, null_scores = _streams.run_all(
@@ -223,6 +238,18 @@ class PermutationTestResult:
     shuffle_scores: np.ndarray
 
 
+def _shuffle_batch(params, b: int, rng) -> np.ndarray:
+    matrix, variant, alpha0 = params
+    data = matrix.data
+    scores = np.empty(b)
+    for j in range(b):
+        perm = np.argsort(rng.random(data.shape), axis=0)
+        shuffled = hct.LabeledMatrix(np.take_along_axis(data, perm, axis=0),
+                                     matrix.labels, matrix.feature_names)
+        scores[j] = _matrix_hc_score(shuffled, variant, alpha0)
+    return scores
+
+
 def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
                      alpha0: float = 0.5) -> PermutationTestResult:
     """Shuffle-based P-value for the HC score of a labeled matrix.
@@ -231,19 +258,15 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     any label-feature alignment; the standardized Z-scores and the HC score
     are recomputed per shuffle. The returned P-value is the add-one estimator
     (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0.
+    Shuffles run on the stream runner in this process, one stream per
+    STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed.
     """
     if shuffles < 1:
         raise InvalidInputError(f"need shuffles >= 1, got {shuffles}")
     original = _matrix_hc_score(matrix, variant, alpha0)
-    rng = as_generator(seed)
-    data = matrix.data
-    n, p = data.shape
-    scores = np.empty(shuffles)
-    for b in range(shuffles):
-        perm = np.argsort(rng.random((n, p)), axis=0)
-        shuffled = hct.LabeledMatrix(np.take_along_axis(data, perm, axis=0),
-                                     matrix.labels, matrix.feature_names)
-        scores[b] = _matrix_hc_score(shuffled, variant, alpha0)
+    base = as_seed(seed)
+    scores = _streams.run(_shuffle_batch, (matrix, variant, alpha0), shuffles,
+                          calibrate.STREAM_BLOCK, matrix.data.size, base, 1)
     exceed = int(np.sum(scores >= original))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)
 

@@ -2,9 +2,11 @@
 
 Two routes: the Gumbel-limit closed form (cheap, accurate for the plus
 variant at large N) and seeded Monte Carlo under the uniform null (the
-reference, reproducing the usual simulated tables). Simulated quantiles are
-persisted in the JSON-lines record store (``_store``) so they are paid for
-once.
+reference, reproducing the usual simulated tables). A null replicate draws
+only the floor(alpha0*N) smallest uniform P-values, in order, through Renyi's
+representation of uniform order statistics (``_null_window``): no N-wide
+draw and no sort. Simulated quantiles are persisted in the JSON-lines record
+store (``_store``) so they are paid for once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import _store, _streams
 from .errors import CacheMissError, InvalidInputError
 from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
-from .numerics import RNG_VERSION, RngSeed
+from .numerics import MIN_PVALUE, RNG_VERSION, RngSeed, as_seed
 
 __all__ = [
     "CriticalValueEntry",
@@ -72,12 +74,32 @@ def gumbel_critical(N: int, alpha: float) -> float:
     return (c - math.log(math.log(1.0 / (1.0 - alpha)))) / b
 
 
+def _null_window(b: int, n, k: int, rng, out=None) -> np.ndarray:
+    """The min(k, n) smallest of n iid Uniform(0, 1), ascending, in each of b rows.
+
+    ``n`` is one size or an array of b per-row sizes. Renyi's representation:
+    with S the partial sums of k Exp(1) draws and G ~ Gamma(n + 1 - k0),
+    k0 = min(k, n), U_(1..k0) = S_1..S_k0 / (S_k0 + G); G is Gamma(1) when
+    k0 = n. Draws the b*k exponentials, then the b gammas; no n-wide draw, no
+    sort. Values are clamped at MIN_PVALUE; columns k0..k of a row with n < k
+    hold no order statistics. The window goes to ``out[:, :k]`` when given,
+    and is returned.
+    """
+    s = rng.standard_exponential((b, k))
+    np.cumsum(s, axis=1, out=s)
+    k0 = np.reshape(np.minimum(k, n), (-1, 1))
+    total = np.take_along_axis(s, np.broadcast_to(k0 - 1, (b, 1)), axis=1)
+    total += rng.standard_gamma(np.reshape(n, (-1, 1)) + 1 - k0, (b, 1))
+    window = s if out is None else out[:, :k]
+    np.divide(s, total, out=window)
+    return np.maximum(window, MIN_PVALUE, out=window)
+
+
 def _null_batch(params, b: int, rng) -> np.ndarray:
     N, variant, alpha0 = params
-    p = rng.random((b, N))
-    p.sort(axis=-1)
-    # rng.random lives in [0, 1): shift exact zeros up to the clamp floor.
-    np.maximum(p, 1e-300, out=p)
+    # The kernel reads only the first k_max columns of each N-wide row.
+    p = np.empty((b, N))
+    _null_window(b, N, _index_range(alpha0, N), rng, p)
     return hc_scores_sorted_batch(p, variant, alpha0)
 
 
@@ -92,7 +114,7 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
     _index_range(alpha0, N)
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
-    base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
+    base = as_seed(seed)
     return _streams.run(_null_batch, (N, variant, alpha0), replicates, STREAM_BLOCK, N,
                         base, n_jobs)
 
@@ -112,7 +134,7 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
     """Monte Carlo critical value: empirical (1-alpha) null quantile."""
     if replicates < 100:
         raise InvalidInputError(f"need replicates >= 100, got {replicates}")
-    base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
+    base = as_seed(seed)
     scores = simulate_null_scores(N, variant, alpha0, replicates, base, n_jobs=n_jobs)
     q = empirical_quantile(scores, alpha)
     return CriticalValueEntry(N, float(alpha), variant, float(alpha0), replicates, base, q)

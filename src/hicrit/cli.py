@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
-from ._io import _read_table, ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
+from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
 from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
 from .numerics import RNG_VERSION
@@ -201,10 +201,10 @@ def _cmd_select(args, fmt):
 
 
 def _load_test_matrix(path):
-    """Sample rows of a labeled matrix (labels ignored) or of a plain one."""
-    if _read_table(path, header_only=True)[0][0].lower() == "label":
-        return ingest_labeled(path).data
-    return ingest_plain(path)[0]
+    """Sample rows of a plain matrix, or of a labeled one minus its label column:
+    classify predicts from the features alone, so the labels go unchecked."""
+    matrix, header = ingest_plain(path)
+    return matrix[:, 1:] if header[0].lower() == "label" else matrix
 
 
 def _cmd_classify(args, fmt):

@@ -18,7 +18,8 @@ import numpy as np
 from . import _store, _streams
 from .errors import InvalidInputError
 from .hc_core import HcResult, PValueSeries, ohc_plus_band
-from .numerics import RNG_VERSION, RngSeed, as_generator, clamp_pvalues, student_t_cdf, student_t_sf
+from .numerics import (RNG_VERSION, RngSeed, as_generator, as_seed, clamp_pvalues, student_t_cdf,
+                       student_t_sf)
 
 __all__ = [
     "CorrelationSummary",
@@ -216,7 +217,7 @@ def eigen_null_profile(n: int, p: int, replicates: int = 500, seed=0,
         raise InvalidInputError(f"need replicates >= 100, got {replicates}")
     if n < 2 or p < 2:
         raise InvalidInputError(f"need n, p >= 2, got n={n}, p={p}")
-    base = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
+    base = as_seed(seed)
     eigs = _streams.run(_profile_batch, (n, p), replicates, _PROFILE_STREAM_BLOCK, n * p,
                         base, n_jobs)
     return EigenNullProfile(n, p, eigs.mean(axis=0), eigs.std(axis=0, ddof=1),

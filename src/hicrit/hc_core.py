@@ -143,9 +143,16 @@ def _components(p: np.ndarray, n: int) -> np.ndarray:
     k = p.shape[-1]
     i = np.arange(1, k + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        comp = math.sqrt(n) * (i / n - p) / np.sqrt(p * (1.0 - p))
-    at_one = p == 1.0
-    if at_one.any():
+        # sqrt(n) * (i/n - p) / sqrt(p * (1 - p)), one operation at a time.
+        comp = np.subtract(i / n, p)
+        np.multiply(math.sqrt(n), comp, out=comp)
+        den = np.subtract(1.0, p)
+        np.multiply(p, den, out=den)
+        np.sqrt(den, out=den)
+        np.divide(comp, den, out=comp)
+    # Rows ascend, so a p = 1 shows in the last column of its row.
+    if (p[..., -1:] == 1.0).any():
+        at_one = p == 1.0
         comp[at_one] = -np.inf
         if k == n:
             # p == 1 in the last slot means i/N == p == 1: a zero component.
@@ -353,5 +360,5 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     ps = p[:, :_index_range(alpha0, n)]
     comp = _components(ps, n)
     if variant == "plus":
-        comp[ps <= 1.0 / n] = -np.inf  # the plus variant's guard
+        np.copyto(comp, -np.inf, where=ps <= 1.0 / n)  # the plus variant's guard
     return comp.max(axis=1)

@@ -19,7 +19,7 @@ from .errors import InvalidInputError
 MIN_PVALUE = 1e-300
 
 # Recorded in cache files: changing the generator invalidates stored quantiles.
-RNG_VERSION = "philox4x64-v1"
+RNG_VERSION = "philox4x64-v2"
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,19 @@ class RngSeed:
     def stream(self, stream_id: int) -> "RngSeed":
         """Derive a sibling stream with the same base seed."""
         return RngSeed(self.seed, stream_id)
+
+
+def as_seed(seed) -> RngSeed:
+    """Coerce an int seed or RngSeed into the RngSeed of a stream-runner job.
+
+    A Generator is refused: the stream runner derives one Philox stream per
+    block from the seed, which a Generator cannot supply.
+    """
+    if isinstance(seed, RngSeed):
+        return seed
+    if isinstance(seed, np.random.Generator):
+        raise InvalidInputError("seed must be an int or RngSeed, not a Generator")
+    return RngSeed(int(seed))
 
 
 def as_generator(seed) -> np.random.Generator:

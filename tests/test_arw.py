@@ -10,11 +10,12 @@ from hicrit import _streams
 from hicrit.arw import (ArwParams, detection_experiment, permutation_pvalue,
                         permutation_test, pvalues_one_sided, pvalues_two_sided,
                         sample_mixture, _mixture_batch, _mixture_job, _NULL_STREAMS)
-from hicrit.calibrate import STREAM_BLOCK, _null_batch, simulate_critical, simulate_null_scores
+from hicrit.calibrate import STREAM_BLOCK, _null_batch, simulate_critical
 from hicrit.errors import InvalidInputError
-from hicrit.hc_core import hc_scores_sorted_batch
+from hicrit.hc_core import _index_range, hc_scores_sorted_batch
 from hicrit.hct import LabeledMatrix
 from hicrit.numerics import MIN_PVALUE, RngSeed, clamp_pvalues
+from v1_samplers import mixture_batch_v1, null_batch_v1
 
 
 def test_arw_params_derived():
@@ -68,12 +69,35 @@ def test_pvalues_two_sided():
 
 
 def test_normal_null_matches_uniform_null():
-    # One-sided P-values of exact N(0,1) draws are uniform: the hc_star score
-    # distributions must agree (two-sample KS over 1000 scores each).
-    normal_scores = _streams.run(*_mixture_job(500, 0.0, 0.0, "star", 0.5, 1000, 13,
-                                               _NULL_STREAMS), 1)
-    uniform_scores = simulate_null_scores(500, "star", 0.5, 1000, seed=14)
-    assert ks_2samp(normal_scores, uniform_scores).statistic <= 0.08
+    # One-sided P-values of exact N(0,1) draws are uniform: the v1 normal null
+    # (every coordinate through ndtr, then a full sort) and the detect-sim null
+    # stream, drawn in P-value space, must give the same hc_star law
+    # (two-sample KS over 1000 scores each).
+    normal_scores = _streams.run(mixture_batch_v1, (500, 0.0, 0.0, "star", 0.5), 1000,
+                                 STREAM_BLOCK, 500, RngSeed(13), 1)
+    null_scores = _streams.run(*_mixture_job(500, 0.0, 0.0, "star", 0.5, 1000, 14,
+                                             _NULL_STREAMS), 1)
+    assert ks_2samp(normal_scores, null_scores).statistic <= 0.08
+
+
+# (N, eps, tau) per alpha0 for the law checks against the v1 samplers.
+_LAW_CASES = {0.5: (2000, 0.02, 2.5), 1.0: (300, 0.05, 2.0)}
+
+
+@pytest.mark.parametrize("alpha0", [0.5, 1.0])
+@pytest.mark.parametrize("variant", ["star", "plus"])
+@pytest.mark.parametrize("sample", ["null", "mixture"])
+def test_pvalue_space_samplers_match_the_v1_law(sample, variant, alpha0):
+    # Two-sample KS, 4000 scores a side, fixed seeds: the P-value-space
+    # samplers against the v1 references that draw and sort all N values.
+    n, eps, tau = _LAW_CASES[alpha0]
+    if sample == "null":
+        v1, v2, params = null_batch_v1, _null_batch, (n, variant, alpha0)
+    else:
+        v1, v2, params = mixture_batch_v1, _mixture_batch, (n, eps, tau, variant, alpha0)
+    old = _streams.run(v1, params, 4000, STREAM_BLOCK, n, RngSeed(60), 1)
+    new = _streams.run(v2, params, 4000, STREAM_BLOCK, n, RngSeed(61), 1)
+    assert ks_2samp(old, new).pvalue >= 0.01
 
 
 def test_detection_null_equals_alternative():
@@ -113,15 +137,37 @@ def test_detection_determinism():
     np.testing.assert_array_equal(a.alt_scores, c.alt_scores)
 
 
-def _mixture_batch_reference(params, b, rng):
-    # The transform of every coordinate, then a full sort: what _mixture_batch
-    # must reproduce bit for bit while transforming only the k_max smallest.
+def _mixture_draws(params, b, rng):
+    # _mixture_batch's draws, in its order, made the plain way: the b
+    # binomials, a k-wide block of exponentials and b gammas for the null
+    # windows (per row the min(k, n - m) smallest of n - m uniforms by Renyi's
+    # representation), then the normals of all nonnulls, row after row, and
+    # the one-sided P-values of every nonnull.
     n, eps, tau, variant, alpha0 = params
-    x = rng.standard_normal((b, n))
-    if eps > 0.0:
-        x += tau * (rng.random((b, n)) < eps)
-    p = clamp_pvalues(ndtr(-x))
-    p.sort(axis=-1)
+    k = _index_range(alpha0, n)
+    m = rng.binomial(n, eps, b)
+    k0 = np.minimum(k, n - m)
+    e = rng.standard_exponential((b, k))
+    g = rng.standard_gamma(n - m + 1 - k0)
+    alt = clamp_pvalues(ndtr(-(rng.standard_normal(m.sum()) + tau)))
+    rows = []
+    for r, first in enumerate(np.cumsum(m) - m):
+        null = np.empty(0)
+        if k0[r]:
+            s = np.cumsum(e[r, :k0[r]])
+            null = np.maximum(s / (s[-1] + g[r]), MIN_PVALUE)
+        rows.append((null, alt[first:first + m[r]]))
+    return rows
+
+
+def _mixture_batch_reference(params, b, rng):
+    # Every nonnull transformed, null and nonnull concatenated, a full sort:
+    # what _mixture_batch must reproduce bit for bit from the same draws.
+    n, eps, tau, variant, alpha0 = params
+    p = np.ones((b, n))
+    for row, (null, alt) in zip(p, _mixture_draws(params, b, rng)):
+        merged = np.sort(np.concatenate((null, alt)))
+        row[:merged.size] = merged
     return hc_scores_sorted_batch(p, variant, alpha0)
 
 
@@ -136,23 +182,39 @@ def test_mixture_batch_matches_full_transform(alpha0, variant, eps, tau):
     params = (2000, eps, tau, variant, alpha0)
     got = _mixture_batch(params, 64, RngSeed(7, 3).generator())
     want = _mixture_batch_reference(params, 64, RngSeed(7, 3).generator())
-    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,eps,alpha0", [(20, 1.0, 0.5), (20, 1.0, 1.0), (20, 0.9, 0.5),
+                                           (2000, 0.7, 0.5), (2000, 0.7, 1.0), (1, 0.5, 1.0)])
+def test_mixture_batch_when_nonnulls_crowd_the_window(n, eps, alpha0):
+    # m >= n - k + 1 leaves fewer than k null values; eps = 1 leaves none.
+    params = (n, eps, 1.5, "star", alpha0)
+    got = _mixture_batch(params, 64, RngSeed(8).generator())
+    want = _mixture_batch_reference(params, 64, RngSeed(8).generator())
+    assert np.array_equal(got, want)
+    m = RngSeed(8).generator().binomial(n, eps, 64)
+    assert np.any(m >= n - math.floor(alpha0 * n) + 1)
 
 
 def test_clamp_ties_straddle_the_window():
     # In the tie case above, every row holds more clamped P-values than the
     # alpha0 = 0.1 window (200) and fewer than the alpha0 = 0.5 window (1000).
+    # Only nonnulls tie there, so each row has at most its binomial count.
     eps, tau = _CLAMP_TIES
-    rng = RngSeed(7, 3).generator()
-    x = rng.standard_normal((9, 2000))
-    x += tau * (rng.random((9, 2000)) < eps)
-    ties = (clamp_pvalues(ndtr(-x)) == MIN_PVALUE).sum(axis=1)
-    assert np.all((ties > 200) & (ties < 1000)), ties
+    m = RngSeed(7, 3).generator().binomial(2000, eps, 64)
+    for alpha0 in (0.1, 0.5):
+        rows = _mixture_draws((2000, eps, tau, "plus", alpha0), 64, RngSeed(7, 3).generator())
+        ties = np.array([(null == MIN_PVALUE).sum() + (alt == MIN_PVALUE).sum()
+                         for null, alt in rows])
+        assert np.all((ties > 200) & (ties < 1000) & (ties <= m)), ties
 
 
-def test_detection_pool_matches_in_process():
+def test_detection_pool_matches_in_process(monkeypatch):
     # More replicates than one block, and a simulated critical value: every
-    # stream of the experiment shares one pool at n_jobs = 2.
+    # stream of the experiment shares one pool at n_jobs = 2, which this
+    # small experiment only starts with the work threshold off.
+    monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
     kwargs = dict(reps=STREAM_BLOCK + 40, alpha=0.05, variant="plus", seed=41,
                   epsilon=0.02, tau=2.5, critical=None, calibration_reps=200)
     a = detection_experiment(300, n_jobs=1, **kwargs)
@@ -162,7 +224,8 @@ def test_detection_pool_matches_in_process():
     assert a.critical == b.critical
 
 
-def test_run_all_equals_separate_runs():
+def test_run_all_equals_separate_runs(monkeypatch):
+    monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
     jobs = [(_null_batch, (200, "plus", 0.5), 700, 300, 200, RngSeed(5, 10)),
             (_mixture_batch, (150, 0.05, 2.0, "star", 0.5), 450, 200, 150, RngSeed(5, 99))]
     for n_jobs in (1, 2):
@@ -170,6 +233,22 @@ def test_run_all_equals_separate_runs():
         assert len(together) == 2
         for job, got in zip(jobs, together):
             np.testing.assert_array_equal(got, _streams.run(*job, 1))
+
+
+def test_small_runs_start_no_pool(monkeypatch):
+    # Two streams of 20 replicates at N = 300 are far below the work
+    # threshold: n_jobs = 2 runs them in this process, with equal results.
+    kwargs = dict(reps=20, alpha=0.05, variant="plus", seed=43, epsilon=0.02, tau=2.5,
+                  critical=3.0)
+    a = detection_experiment(300, n_jobs=1, **kwargs)
+
+    def no_pool(*args, **kw):
+        raise AssertionError("started a process pool for a small run")
+
+    monkeypatch.setattr(_streams, "ProcessPoolExecutor", no_pool)
+    b = detection_experiment(300, n_jobs=2, **kwargs)
+    np.testing.assert_array_equal(a.null_scores, b.null_scores)
+    np.testing.assert_array_equal(a.alt_scores, b.alt_scores)
 
 
 def test_detection_standard_errors():
@@ -233,3 +312,7 @@ def test_permutation_rejects_degenerate_matrix():
         permutation_test(matrix, shuffles=5, seed=0)
     with pytest.raises(InvalidInputError):
         permutation_test(_noise_matrix(np.random.default_rng(1)), shuffles=0, seed=0)
+    # The stream runner derives its streams from an int or RngSeed seed.
+    with pytest.raises(InvalidInputError, match="Generator"):
+        permutation_test(_noise_matrix(np.random.default_rng(1)), shuffles=5,
+                         seed=np.random.default_rng(2))

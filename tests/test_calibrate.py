@@ -4,6 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from hicrit import _streams
 from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, critical_value,
                               empirical_quantile, gumbel_critical, level_alpha_test,
                               load_cache, resolve_critical, simulate_critical,
@@ -49,7 +50,9 @@ def test_empirical_quantile_order_statistic():
     assert empirical_quantile(np.array([3.0, 1.0, 2.0]), 0.01) == 3.0
 
 
-def test_simulation_determinism_and_jobs():
+def test_simulation_determinism_and_jobs(monkeypatch):
+    # Three stream blocks, on a real pool at n_jobs = 2 with the work threshold off.
+    monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
     a = simulate_null_scores(500, "plus", 0.5, 1500, seed=11)
     b = simulate_null_scores(500, "plus", 0.5, 1500, seed=11)
     c = simulate_null_scores(500, "plus", 0.5, 1500, seed=11, n_jobs=2)

@@ -431,6 +431,34 @@ def test_invalid_levels_exit_3_before_any_cache_or_simulation(tmp_path, capsys, 
     assert not os.path.exists(cache)
 
 
+def test_detect_sim_refuses_too_few_calibration_reps(capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    code, out, err = run(capsys, "detect-sim", "--n", "500", "--epsilon", "0.05", "--tau", "2",
+                         "--reps", "10", "--seed", "1", "--calibration-reps", "5",
+                         "--threads", "1")
+    assert code == 3 and "need replicates >= 100, got 5" in err
+    assert "manifest=" not in out
+
+
+def test_classify_ignores_the_labels_of_a_test_file(labeled_file, tmp_path, capsys):
+    # The predictions come from the features alone, so a label alphabet that
+    # training would refuse (0/1 here) does not stop classify.
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
+    header, *rows = open(labeled_file).read().splitlines()
+    zero_one = tmp_path / "zero_one.csv"
+    zero_one.write_text("\n".join([header] + [("0" + r[2:]) if r.startswith("-1,") else r
+                                              for r in rows]) + "\n")
+    code, out, err = run(capsys, "classify", "--model", model, "--test", labeled_file)
+    assert code == 0, err
+    code, zero_one_out, err = run(capsys, "classify", "--model", model, "--test", str(zero_one))
+    assert code == 0, err
+    assert output_lines(zero_one_out) == output_lines(out)
+
+
 def test_classify_reads_a_labeled_file_with_a_leading_blank_line(labeled_file, tmp_path,
                                                                   capsys):
     model = str(tmp_path / "model.json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from hicrit import _streams
 from hicrit.calibrate import CriticalValueEntry, append_cache_entry, load_cache
 from hicrit.cli import dispatch
 from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
@@ -272,7 +273,9 @@ def test_profiles_and_critical_values_share_a_file(tmp_path):
     np.testing.assert_array_equal(load_profile(path, 3, 2).means, profile.means)
 
 
-def test_profile_determinism_and_jobs():
+def test_profile_determinism_and_jobs(monkeypatch):
+    # Two stream blocks, on a real pool at n_jobs = 2 with the work threshold off.
+    monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
     a = eigen_null_profile(15, 10, replicates=128, seed=14)
     b = eigen_null_profile(15, 10, replicates=128, seed=14, n_jobs=2)
     np.testing.assert_array_equal(a.means, b.means)
