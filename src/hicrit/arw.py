@@ -23,7 +23,8 @@ from scipy.special import ndtr
 
 from . import _streams, calibrate, hct
 from .errors import InvalidInputError
-from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
+from .hc_core import (PValueSeries, _check_level, _check_variant, _index_range, hc_plus,
+                      hc_scores_sorted_batch, hc_star)
 from .numerics import RngSeed, as_generator, as_seed, clamp_pvalues
 
 __all__ = [
@@ -48,7 +49,10 @@ _CALIB_STREAMS = 1 << 21
 
 @dataclass(frozen=True)
 class ArwParams:
-    """Asymptotic rare/weak calibration: epsilon = N^-vartheta, tau = sqrt(2 r log N)."""
+    """Asymptotic rare/weak calibration: epsilon = N^-vartheta, tau = sqrt(2 r log N).
+
+    Refuses N < 1, vartheta outside (0, 1) and an r that is not positive (NaN too).
+    """
 
     N: int
     vartheta: float
@@ -59,7 +63,7 @@ class ArwParams:
             raise InvalidInputError(f"N must be positive, got {self.N}")
         if not 0.0 < self.vartheta < 1.0:
             raise InvalidInputError(f"vartheta must lie in (0, 1), got {self.vartheta}")
-        if self.r <= 0.0:
+        if not self.r > 0.0:
             raise InvalidInputError(f"r must be positive, got {self.r}")
 
     @property
@@ -85,21 +89,24 @@ class MixtureSample:
 
 def _mixture_spec(params, epsilon, tau):
     if isinstance(params, ArwParams):
-        return params.N, params.epsilon, params.tau
-    n = int(params)
+        params, epsilon, tau = params.N, params.epsilon, params.tau
     if epsilon is None or tau is None:
         raise InvalidInputError("explicit sampling needs N, epsilon and tau")
-    return n, float(epsilon), float(tau)
-
-
-def sample_mixture(params: Union[ArwParams, int], epsilon: Optional[float] = None,
-                   tau: Optional[float] = None, seed=0) -> MixtureSample:
-    """Draw one mixture sample; ``params`` is an ArwParams or an integer N."""
-    n, eps, t = _mixture_spec(params, epsilon, tau)
+    n, eps, t = int(params), float(epsilon), float(tau)
     if not 0.0 <= eps <= 1.0:
         raise InvalidInputError(f"epsilon must lie in [0, 1], got {eps}")
     if not math.isfinite(t):
         raise InvalidInputError(f"tau must be finite, got {t}")
+    return n, eps, t
+
+
+def sample_mixture(params: Union[ArwParams, int], epsilon: Optional[float] = None,
+                   tau: Optional[float] = None, seed=0) -> MixtureSample:
+    """Draw one mixture sample; ``params`` is an ArwParams or an integer N.
+
+    Refuses epsilon outside [0, 1] and a tau that is not finite.
+    """
+    n, eps, t = _mixture_spec(params, epsilon, tau)
     rng = as_generator(seed)
     x = rng.standard_normal(n)
     flags = rng.random(n) < eps
@@ -196,13 +203,19 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     The rejection threshold is ``critical`` if given, otherwise the empirical
     (1-alpha) null quantile simulated with ``calibration_reps`` replicates on
     a dedicated stream namespace. Power and size are the rejection rates of
-    the alternative and null score samples.
+    the alternative and null score samples. Before any draw it refuses alpha
+    outside (0, 1), a variant other than 'star' or 'plus', epsilon outside
+    [0, 1], a tau or a given ``critical`` that is not finite, and alpha0
+    outside (0, 1].
     """
     if reps < 2:
         raise InvalidInputError(f"need reps >= 2, got {reps}")
-    calibrate._check_level(alpha)
+    _check_level(alpha)
+    _check_variant(variant)
     n, eps, t = _mixture_spec(params, epsilon, tau)
     _index_range(alpha0, n)
+    if critical is not None and not math.isfinite(critical):
+        raise InvalidInputError(f"critical must be finite, got {critical}")
     base = as_seed(seed)
     if critical is None:
         entry = calibrate.simulate_critical(
@@ -259,10 +272,12 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     are recomputed per shuffle. The returned P-value is the add-one estimator
     (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0.
     Shuffles run on the stream runner in this process, one stream per
-    STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed.
+    STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed. A variant other
+    than 'star' or 'plus' is refused before any shuffle.
     """
     if shuffles < 1:
         raise InvalidInputError(f"need shuffles >= 1, got {shuffles}")
+    _check_variant(variant)
     original = _matrix_hc_score(matrix, variant, alpha0)
     base = as_seed(seed)
     scores = _streams.run(_shuffle_batch, (matrix, variant, alpha0), shuffles,

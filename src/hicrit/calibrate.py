@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _store, _streams
 from .errors import CacheMissError, InvalidInputError
-from .hc_core import PValueSeries, _index_range, hc_plus, hc_scores_sorted_batch, hc_star
+from .hc_core import (PValueSeries, _check_level, _check_variant, _index_range, hc_plus,
+                      hc_scores_sorted_batch, hc_star)
 from .numerics import MIN_PVALUE, RNG_VERSION, RngSeed, as_seed
 
 __all__ = [
@@ -52,11 +53,6 @@ class CriticalValueEntry:
     seed: RngSeed
     quantile: float
     rng_version: str = RNG_VERSION
-
-
-def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
 def gumbel_critical(N: int, alpha: float) -> float:
@@ -109,8 +105,11 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
     """HC scores of ``replicates`` independent uniform null series of size N.
 
     Deterministic for a given seed, independently of n_jobs: replicates are
-    split into STREAM_BLOCK-sized chunks with one Philox stream each.
+    split into STREAM_BLOCK-sized chunks with one Philox stream each. Refuses
+    a variant other than 'star' or 'plus' and alpha0 outside (0, 1] before
+    any draw.
     """
+    _check_variant(variant)
     _index_range(alpha0, N)
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
@@ -177,10 +176,12 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     touching the cache. Hits require an exact (N, alpha, variant, alpha0)
     match; among those, ``_store.best`` picks the hit. A hit is returned
     whatever ``seed`` asks for: the entry names the seed that produced it.
-    N, alpha and alpha0 are checked before the cache is read.
+    N, alpha, variant and alpha0 are checked before the cache is read, under
+    every policy.
     """
     if policy not in ("cache_only", "simulate_if_missing", "gumbel_fallback"):
         raise InvalidInputError(f"unknown policy {policy!r}")
+    _check_variant(variant)
     _index_range(alpha0, N)
     _check_level(alpha)
     wanted = (N, float(alpha), variant, float(alpha0))
@@ -213,7 +214,8 @@ def level_alpha_test(series: PValueSeries, critical, variant: str = "plus",
     """Reject iff the chosen HC statistic strictly exceeds the critical value.
 
     ``critical`` may be a float or a CriticalValueEntry; an entry whose N does
-    not match the series is refused.
+    not match the series is refused, and so is a variant (given, or the
+    entry's) other than 'star' or 'plus'.
     """
     if isinstance(critical, CriticalValueEntry):
         if critical.N != len(series):
@@ -224,5 +226,6 @@ def level_alpha_test(series: PValueSeries, critical, variant: str = "plus",
         threshold = critical.quantile
     else:
         threshold = float(critical)
+    _check_variant(variant)
     stat = hc_star(series, alpha0) if variant == "star" else hc_plus(series, alpha0)
     return "reject" if stat.score > threshold else "retain"

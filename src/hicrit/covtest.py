@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _store, _streams
 from .errors import InvalidInputError
-from .hc_core import HcResult, PValueSeries, ohc_plus_band
+from .hc_core import HcResult, PValueSeries, _first_max, _floor_index, ohc_plus_band
 from .numerics import (RNG_VERSION, RngSeed, as_generator, as_seed, clamp_pvalues, student_t_cdf,
                        student_t_sf)
 
@@ -237,19 +237,17 @@ class EigenHcResult:
 def eigen_hc_test(X, profile: EigenNullProfile, alpha0: float = 0.5) -> EigenHcResult:
     """Standardize each sorted eigenvalue of X'X/n by its null mean/SD and maximize.
 
-    The max runs over the top floor(alpha0 * min(n, p)) ranks.
+    The max runs over the top max(1, floor(alpha0 * min(n, p))) ranks. Refuses
+    an X whose shape is not the profile's and alpha0 outside (0, 1].
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (profile.n, profile.p):
         raise InvalidInputError(
             f"X has shape {X.shape}, profile was simulated for ({profile.n}, {profile.p})")
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
-    eigs = _sorted_eigenvalues(X)
-    comp = (eigs - profile.means) / profile.sds
-    k_max = max(1, int(math.floor(alpha0 * profile.m + 1e-9)))
-    k = int(np.argmax(comp[:k_max]))
-    return EigenHcResult(comp, float(comp[k]), k + 1, float(alpha0))
+    k_max = max(1, _floor_index(alpha0, profile.m))
+    comp = (_sorted_eigenvalues(X) - profile.means) / profile.sds
+    best = _first_max(comp[:k_max], 0, "eigen", alpha0)
+    return EigenHcResult(comp, best.score, best.argmax_index, float(alpha0))
 
 
 def haar_orthogonal(p: int, seed=0) -> np.ndarray:
@@ -261,10 +259,13 @@ def haar_orthogonal(p: int, seed=0) -> np.ndarray:
 
 
 def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
-    """Spiked covariance Q diag(1+h, ..., 1+h, 1, ..., 1) Q' with Haar Q."""
+    """Spiked covariance Q diag(1+h, ..., 1+h, 1, ..., 1) Q' with Haar Q.
+
+    Refuses a rank outside [0, p) and an h that is not above -1 (NaN too).
+    """
     if not 0 <= rank < p:
         raise InvalidInputError(f"need 0 <= rank < p, got rank={rank}, p={p}")
-    if h <= -1.0:
+    if not h > -1.0:
         raise InvalidInputError(f"need h > -1 for positive definiteness, got {h}")
     if rank == 0 or h == 0.0:
         return np.eye(p)

@@ -11,7 +11,7 @@ arrays are of course 0-based internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -110,24 +110,33 @@ def hc_at_level(n: int, alpha: float, count_significant: int) -> float:
     """
     if n < 1:
         raise InvalidInputError(f"n must be positive, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_level(alpha)
     if not 0 <= count_significant <= n:
         raise InvalidInputError(f"count_significant must lie in [0, {n}], got {count_significant}")
     frac = count_significant / n
     return math.sqrt(n) * (frac - alpha) / math.sqrt(alpha * (1.0 - alpha))
 
 
+def _check_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("star", "plus"):
+        raise InvalidInputError(f"variant must be 'star' or 'plus', got {variant!r}")
+
+
 def _floor_index(alpha0: float, n: int) -> int:
-    # floor(alpha0*n) with a tiny epsilon so exact products are not lost to
-    # binary rounding (0.29*100 is 28.999... in floats).
+    # floor(alpha0*n) for alpha0 in (0, 1], with a tiny epsilon so exact products
+    # are not lost to binary rounding (0.29*100 is 28.999... in floats).
+    if not 0.0 < alpha0 <= 1.0:
+        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
     return int(math.floor(alpha0 * n + 1e-9))
 
 
 def _index_range(alpha0: float, n: int) -> int:
     """k_max = floor(alpha0*N) for alpha0 in (0, 1], refusing an empty range."""
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
     k_max = _floor_index(alpha0, n)
     if k_max < 1:
         raise InvalidInputError(f"empty index range: floor(alpha0*N) = {k_max}")
@@ -179,13 +188,17 @@ def hc_component(i: int, series: SeriesLike) -> float:
     return float(hc_components(s)[i - 1])
 
 
+def _first_max(window: np.ndarray, lo: int, variant: str, alpha0: float) -> HcResult:
+    """First max of ``window``, whose entry j has 1-based index lo + j + 1; -inf if none > -inf."""
+    if window.size == 0 or not np.any(window > -np.inf):
+        return HcResult(-math.inf, None, variant, alpha0, empty_range=True)
+    k = int(np.argmax(window))  # first occurrence: ties resolve to smallest i
+    return HcResult(float(window[k]), lo + k + 1, variant, alpha0)
+
+
 def _max_over(values: np.ndarray, lo: int, hi: int, variant: str, alpha0: float) -> HcResult:
     """Max component of an ascending series over its 1-based indices lo < i <= hi."""
-    comp = _components(values[:hi], values.size)[lo:]
-    if comp.size == 0 or not np.any(comp > -np.inf):
-        return HcResult(-math.inf, None, variant, alpha0, empty_range=True)
-    k = int(np.argmax(comp))  # first occurrence: ties resolve to smallest i
-    return HcResult(float(comp[k]), lo + k + 1, variant, alpha0)
+    return _first_max(_components(values[:hi], values.size)[lo:], lo, variant, alpha0)
 
 
 def hc_star(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
@@ -248,12 +261,9 @@ def berk_jones(series: SeriesLike) -> HcResult:
     i_frac = np.arange(1, n + 1, dtype=float) / n
     terms = n * binomial_kl_array(s.values, i_frac)
     finite = np.isfinite(terms)
-    n_excluded = int((~finite).sum())
-    if not finite.any():
-        return HcResult(0.0, None, "bj", 1.0, empty_range=True, excluded=n_excluded)
-    masked = np.where(finite, terms, -np.inf)
-    k = int(np.argmax(masked))
-    return HcResult(float(masked[k]), k + 1, "bj", 1.0, excluded=n_excluded)
+    best = _first_max(np.where(finite, terms, -np.inf), 0, "bj", 1.0)
+    return replace(best, score=0.0 if best.empty_range else best.score,
+                   excluded=int((~finite).sum()))
 
 
 def avg_likelihood_ratio(series: SeriesLike, alpha0: float = 0.5) -> float:
@@ -303,6 +313,7 @@ def gof_theoretical(fn_on_grid, f0: Callable[[np.ndarray], np.ndarray],
     sqrt(N) * max_i |F_N(i/N) - F0(i/N)| / sqrt(F0(i/N)(1-F0(i/N))), the max
     restricted to i_min <= i <= floor(alpha0*N). ``fn_on_grid`` holds the
     empirical CDF evaluated at i/N for i = 1..N (see empirical_cdf_on_grid).
+    Refuses alpha0 outside (0, 1] and an empty index range.
     """
     fn = np.asarray(fn_on_grid, dtype=float)
     n = fn.size
@@ -316,8 +327,8 @@ def gof_empirical(series: SeriesLike, f0: Callable[[np.ndarray], np.ndarray],
     """Empirically standardized goodness of fit.
 
     sqrt(N) * max_i |i/N - F0(p_(i))| / sqrt(F0(p_(i))(1-F0(p_(i)))), same
-    index restriction as gof_theoretical. With F0 = identity and the
-    restriction removed this is max_i |hc_component(i)|.
+    index restriction (and refusals) as gof_theoretical. With F0 = identity
+    and the restriction removed this is max_i |hc_component(i)|.
     """
     s = as_series(series)
     n = s.n
@@ -354,8 +365,7 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     p = np.asarray(sorted_pvalues, dtype=float)
     if p.ndim != 2:
         raise InvalidInputError("expected a 2-D array (batch, N)")
-    if variant not in ("star", "plus"):
-        raise InvalidInputError(f"variant must be 'star' or 'plus', got {variant!r}")
+    _check_variant(variant)
     n = p.shape[1]
     ps = p[:, :_index_range(alpha0, n)]
     comp = _components(ps, n)

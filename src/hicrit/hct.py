@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import InvalidInputError
-from .hc_core import PValueSeries, bh_fdr_select, hc_feature_scores, _floor_index
+from .hc_core import PValueSeries, _first_max, _floor_index, bh_fdr_select, hc_feature_scores
 from .numerics import clamp_pvalues
 
 __all__ = [
@@ -157,21 +157,16 @@ def hct_threshold(z: ZScores, alpha0: float = 0.10) -> tuple[float, int]:
     The maximization runs over 1 <= i <= floor(alpha0 * p); if every feature
     score there is <= 0 (or p is too small for the range), it falls back to
     i = 1 so at least the single most significant feature is selected.
-    Returns (threshold, maximizing index).
+    Returns (threshold, maximizing index). Refuses p < 2 and alpha0 outside
+    (0, 1].
     """
     if z.p < 2:
         raise InvalidInputError("need at least 2 features")
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
-    _, abs_sorted, pvals = _sorted_two_sided(z)
     k_max = min(_floor_index(alpha0, z.p), z.p - 1)
-    if k_max < 1:
-        return float(abs_sorted[0]), 1
-    scores = hc_feature_scores(PValueSeries(pvals))[:k_max]
-    idx = int(np.argmax(scores))  # ties: smallest index
-    if scores[idx] <= 0.0:
-        idx = 0
-    return float(abs_sorted[idx]), idx + 1
+    _, abs_sorted, pvals = _sorted_two_sided(z)
+    best = _first_max(hc_feature_scores(PValueSeries(pvals))[:k_max], 0, "hct", alpha0)
+    i = 1 if best.score <= 0.0 else best.argmax_index
+    return float(abs_sorted[i - 1]), i
 
 
 @dataclass(frozen=True)

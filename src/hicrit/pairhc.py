@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _streams
 from .errors import InvalidInputError
-from .hc_core import HcResult
+from .hc_core import HcResult, _first_max, _floor_index
 from .numerics import RngSeed, as_generator
 
 __all__ = [
@@ -124,13 +124,13 @@ def pair_hc_star(pairs: RankedPairs, alpha0: float = 0.5,
     rank coincidence sends the standardized component through the roof, the
     same fat-tail pathology the p > 1/N rule cures for orthodox HC. Pass
     min_expected=0 for the unguarded maximum. The argmax_index field holds
-    the maximizing k.
+    the maximizing k. Refuses alpha0 outside (0, 1], a min_expected that is
+    not >= 0 (NaN too) and an empty corner range.
     """
-    if not 0.0 < alpha0 <= 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1], got {alpha0}")
-    if min_expected < 0.0:
-        raise InvalidInputError(f"min_expected must be >= 0, got {min_expected}")
     n = pairs.n
+    _floor_index(alpha0, n)  # refuses alpha0 outside (0, 1]
+    if not min_expected >= 0.0:
+        raise InvalidInputError(f"min_expected must be >= 0, got {min_expected}")
     comp = pair_hc_components(pairs)
     k_lo = max(2, int(math.ceil((1.0 - alpha0) * n - 1e-9)))
     k_hi = n - 1
@@ -139,9 +139,7 @@ def pair_hc_star(pairs: RankedPairs, alpha0: float = 0.5,
         k_hi = min(k_hi, int(math.floor(n - math.sqrt(n * min_expected) + 1e-9)))
     if k_lo > k_hi:
         raise InvalidInputError(f"empty corner range [{k_lo}, {k_hi}] for n={n}")
-    window = comp[k_lo - 1:k_hi]
-    k = int(np.argmax(window))  # ties: smallest k
-    return HcResult(float(window[k]), k_lo + k, "pair", alpha0)
+    return _first_max(comp[k_lo - 1:k_hi], k_lo - 1, "pair", alpha0)
 
 
 def sample_bivariate_mixture(n: int, epsilon: float, tau: float, rho: float,

@@ -38,7 +38,11 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point in the (vartheta, r) plane; theta = 0 means pure detection."""
+    """A point in the (vartheta, r) plane; theta = 0 means pure detection.
+
+    Refuses vartheta outside (0, 1), an r that is not positive (NaN too) and
+    theta outside [0, 1).
+    """
 
     vartheta: float
     r: float
@@ -47,7 +51,7 @@ class PhasePoint:
     def __post_init__(self):
         if not 0.0 < self.vartheta < 1.0:
             raise InvalidInputError(f"vartheta must lie in (0, 1), got {self.vartheta}")
-        if self.r <= 0.0:
+        if not self.r > 0.0:
             raise InvalidInputError(f"r must be positive, got {self.r}")
         if not 0.0 <= self.theta < 1.0:
             raise InvalidInputError(f"theta must lie in [0, 1), got {self.theta}")
@@ -100,11 +104,12 @@ def ideal_fdr(vartheta: float, r: float, theta: float = 0.0) -> IdealFdr:
     (vartheta - r)/(2r). Phase III (rho_theta < r < vartheta/3): 1. The two
     internal boundaries report phase "boundary" with the phase-II formula
     value (which is continuous there). Below the classification boundary the
-    query is refused: no threshold succeeds there.
+    query is refused: no threshold succeeds there. An r that is not positive
+    (NaN too) is refused.
     """
     v = float(vartheta)
     rr = float(r)
-    if rr <= 0.0:
+    if not rr > 0.0:
         raise InvalidInputError(f"r must be positive, got {rr}")
     rho_t = classification_boundary(v, theta)
     if rr <= rho_t + _TOL:
@@ -152,7 +157,7 @@ def boundary_table(theta: float, grid_size: int, r: Optional[float] = None) -> l
     above the failure boundary at each vartheta (the lowest-r success phase),
     so the table never contains NaN. With an explicit r falling in the
     failure region, the phase column reads "failure" and the value is None;
-    an r <= 0 is refused.
+    an r that is not positive (NaN too) is refused.
     """
     if not 0.0 <= theta < 1.0:
         raise InvalidInputError(f"theta must lie in [0, 1), got {theta}")
@@ -165,7 +170,7 @@ def boundary_table(theta: float, grid_size: int, r: Optional[float] = None) -> l
         rho = detection_boundary(v, extended=True)
         rho_t = classification_boundary(v, theta)
         if r is not None:
-            try:  # r <= 0 raises InvalidInputError, which is not caught here
+            try:  # an r that is not positive raises InvalidInputError, not caught here
                 fdr = ideal_fdr(v, r, theta)
                 phase, value = fdr.phase, fdr.value
             except FailureRegionError:

@@ -498,3 +498,27 @@ def test_tables_on_stdout_match_the_out_file(labeled_file, tmp_path, capsys):
         table = open(path, newline="").read()
         assert table.endswith("\r\n")
         assert out.startswith(table.replace("\r\n", "\n"))
+
+
+DETECT = ["detect-sim", "--n", "1000", "--reps", "10", "--seed", "1", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    DETECT + ["--epsilon", "1.5", "--tau", "1", "--critical", "3"],
+    DETECT + ["--epsilon", "-0.1", "--tau", "1", "--critical", "3"],
+    DETECT + ["--epsilon", "nan", "--tau", "1", "--critical", "3"],
+    DETECT + ["--epsilon", "0.1", "--tau", "nan", "--critical", "3"],
+    DETECT + ["--epsilon", "0.1", "--tau", "inf"],
+    DETECT + ["--vartheta", "0.6", "--r", "nan"],
+    DETECT + ["--epsilon", "0.1", "--tau", "1", "--critical", "nan"],
+    ["phase", "--theta", "0.2", "--grid", "2", "--r", "nan"],
+], ids=["epsilon-1.5", "epsilon-neg", "epsilon-nan", "tau-nan", "tau-inf", "r-nan",
+        "critical-nan", "phase-r-nan"])
+def test_out_of_range_model_arguments_exit_3(argv, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("error: "), err
+    assert "Traceback" not in err and "manifest=" not in out
