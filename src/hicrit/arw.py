@@ -1,15 +1,15 @@
 """Rare/weak Gaussian mixture sampling and the sparse-detection experiment.
 
 The alternative draws each coordinate nonnull with probability epsilon and
-shifts it by tau; P-values come from the standard normal. The experiment
-harness scores repeated null/alternative draws with an HC variant against a
-calibrated critical value; both samples run in one stream-runner pool. Draws
-are made in P-value space and only the floor(alpha0*N) smallest P-values, the
-ones the HC kernel reads, are made at all: a Binomial(N, epsilon) count of
-nonnulls, Renyi's representation for the smallest null P-values, and ndtr on
-the nonnulls alone. A permutation scheme (independent row shuffles per
-column, on the stream runner) supplies P-values for HC scores on real
-labeled matrices.
+shifts it by tau; P-values come from the standard normal. The null is the
+same mixture at epsilon = 0, so one sampler makes every HC Monte Carlo
+replicate, critical values included. Draws are made in P-value space and only
+the floor(alpha0*N) smallest P-values, the ones the HC kernel reads, are made
+at all: a Binomial(N, epsilon) count of nonnulls, Renyi's representation for
+the smallest null P-values, and ndtr on the nonnulls alone. The experiment's
+null, alternative and calibration streams share one stream-runner pool. A
+permutation scheme (independent row shuffles per column, on the stream
+runner) supplies P-values for HC scores on real labeled matrices.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import ndtr
 
-from . import _streams, calibrate, hct
+from . import _streams, hct
 from .errors import InvalidInputError
-from .hc_core import (PValueSeries, _check_level, _check_variant, _index_range, hc_plus,
+from .hc_core import (PValueSeries, _check_level, _check_mixture, _check_replicates,
+                      _check_variant, _index_range, empirical_quantile, hc_plus,
                       hc_scores_sorted_batch, hc_star)
-from .numerics import RngSeed, as_generator, as_seed, clamp_pvalues
+from .numerics import MIN_PVALUE, RngSeed, as_generator, as_seed, clamp_pvalues
 
 __all__ = [
     "ArwParams",
@@ -39,6 +40,9 @@ __all__ = [
     "permutation_test",
     "permutation_pvalue",
 ]
+
+# Replicates per RNG stream; fixed so no simulated score depends on the worker count.
+STREAM_BLOCK = 512
 
 # Disjoint stream-id namespaces so calibration draws never reuse the random
 # bits consumed by the experiment itself.
@@ -93,10 +97,7 @@ def _mixture_spec(params, epsilon, tau):
     if epsilon is None or tau is None:
         raise InvalidInputError("explicit sampling needs N, epsilon and tau")
     n, eps, t = int(params), float(epsilon), float(tau)
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError(f"epsilon must lie in [0, 1], got {eps}")
-    if not math.isfinite(t):
-        raise InvalidInputError(f"tau must be finite, got {t}")
+    _check_mixture(eps, t)
     return n, eps, t
 
 
@@ -130,38 +131,58 @@ def pvalues_two_sided(x) -> PValueSeries:
     return PValueSeries(np.sort(clamp_pvalues(2.0 * ndtr(-np.abs(x)))))
 
 
+def _null_window(b: int, n, k: int, rng, out: np.ndarray) -> None:
+    """The min(k, n) smallest of n iid Uniform(0, 1), ascending, into out[:, :k].
+
+    ``n`` is one size or an array of b per-row sizes. Renyi's representation:
+    with S the partial sums of k Exp(1) draws, k0 = min(k, n) and
+    G ~ Gamma(n + 1 - k0), U_(1..k0) = S_1..S_k0 / (S_k0 + G). Draws the b*k
+    exponentials, then the b gammas; no n-wide draw, no sort. Values are
+    clamped at MIN_PVALUE; columns k0..k of a row with n < k hold no order
+    statistics.
+    """
+    s = rng.standard_exponential((b, k))
+    np.cumsum(s, axis=1, out=s)
+    k0 = np.reshape(np.minimum(k, n), (-1, 1))
+    total = np.take_along_axis(s, np.broadcast_to(k0 - 1, (b, 1)), axis=1)
+    total += rng.standard_gamma(np.reshape(n, (-1, 1)) + 1 - k0, (b, 1))
+    window = np.divide(s, total, out=out[:, :k])
+    np.maximum(window, MIN_PVALUE, out=window)
+
+
 def _mixture_batch(params, b: int, rng) -> np.ndarray:
     """HC scores of b mixture draws, each made in P-value space.
 
     Per row, m ~ Binomial(n, eps) coordinates are nonnull. The n - m null
     P-values are uniform, so the min(k, n - m) smallest of them come from
-    ``calibrate._null_window``, k = floor(alpha0*n); only the m nonnull
-    P-values go through ndtr, in one call for the batch. Each row's nonnulls
-    are written after its null window and padded with inf to the widest row;
-    a stable sort of that prefix merges them, and the first k columns hold the
-    k smallest. RNG use: the b binomials, the b*k exponentials and the b
+    ``_null_window``, k = floor(alpha0*n); only the m nonnull P-values go
+    through ndtr, in one call for the batch. Each row's nonnulls are written
+    after its null window and padded with inf to the widest row; a stable
+    sort of that prefix merges them, and the first k columns hold the k
+    smallest; with no nonnulls (eps = 0) the null windows are the rows. RNG
+    use: the b binomials (no bits at eps = 0), the b*k exponentials and the b
     gammas of the null windows, then the sum(m) normals, row after row.
     """
     n, eps, tau, variant, alpha0 = params
     k = _index_range(alpha0, n)
     m = rng.binomial(n, eps, b)
     out = np.empty((b, n))
-    calibrate._null_window(b, n - m, k, rng, out)
-    k0 = np.minimum(k, n - m)
-    alt = clamp_pvalues(ndtr(-tau - rng.standard_normal(m.sum())))
-    width = int((k0 + m).max())
-    out[:, k:width] = np.inf
-    first = np.cumsum(m) - m
-    out[np.repeat(np.arange(b), m), np.arange(alt.size) + np.repeat(k0 - first, m)] = alt
-    out[:, :width].sort(axis=1, kind="stable")
+    _null_window(b, n - m, k, rng, out)
+    if m.any():
+        k0 = np.minimum(k, n - m)
+        alt = clamp_pvalues(ndtr(-tau - rng.standard_normal(m.sum())))
+        width = int((k0 + m).max())
+        out[:, k:width] = np.inf
+        first = np.cumsum(m) - m
+        out[np.repeat(np.arange(b), m), np.arange(alt.size) + np.repeat(k0 - first, m)] = alt
+        out[:, :width].sort(axis=1, kind="stable")
     return hc_scores_sorted_batch(out, variant, alpha0)
 
 
 def _mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base):
-    # With no nonnulls the mixture is the uniform null: draw it as calibrate does.
-    kernel, params = ((calibrate._null_batch, (n, variant, alpha0)) if eps == 0.0 else
-                      (_mixture_batch, (n, eps, tau, variant, alpha0)))
-    return kernel, params, reps, calibrate.STREAM_BLOCK, n, RngSeed(seed, stream_base)
+    # A stream-runner job of ``reps`` mixture scores; eps = 0 is the uniform null.
+    return (_mixture_batch, (n, eps, tau, variant, alpha0), reps, STREAM_BLOCK, n,
+            RngSeed(seed, stream_base))
 
 
 @dataclass(frozen=True)
@@ -201,12 +222,13 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     """Score ``reps`` null and ``reps`` alternative draws with one HC variant.
 
     The rejection threshold is ``critical`` if given, otherwise the empirical
-    (1-alpha) null quantile simulated with ``calibration_reps`` replicates on
-    a dedicated stream namespace. Power and size are the rejection rates of
-    the alternative and null score samples. Before any draw it refuses alpha
-    outside (0, 1), a variant other than 'star' or 'plus', epsilon outside
-    [0, 1], a tau or a given ``critical`` that is not finite, and alpha0
-    outside (0, 1].
+    (1-alpha) quantile of ``calibration_reps`` null scores on a dedicated
+    stream namespace, drawn in the pool of the null and alternative streams.
+    Power and size are the rejection rates of the alternative and null score
+    samples. Before any draw it refuses alpha outside (0, 1), a variant other
+    than 'star' or 'plus', epsilon outside [0, 1], a tau or a given
+    ``critical`` that is not finite, alpha0 outside (0, 1], and fewer than
+    100 calibration replicates when ``critical`` is not given.
     """
     if reps < 2:
         raise InvalidInputError(f"need reps >= 2, got {reps}")
@@ -217,14 +239,15 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     if critical is not None and not math.isfinite(critical):
         raise InvalidInputError(f"critical must be finite, got {critical}")
     base = as_seed(seed)
+    jobs = [_mixture_job(n, eps, t, variant, alpha0, reps, base.seed, _ALT_STREAMS),
+            _mixture_job(n, 0.0, 0.0, variant, alpha0, reps, base.seed, _NULL_STREAMS)]
     if critical is None:
-        entry = calibrate.simulate_critical(
-            n, alpha, variant, alpha0, calibration_reps,
-            RngSeed(base.seed, _CALIB_STREAMS), n_jobs=n_jobs)
-        critical = entry.quantile
-    alt_scores, null_scores = _streams.run_all(
-        [_mixture_job(n, eps, t, variant, alpha0, reps, base.seed, _ALT_STREAMS),
-         _mixture_job(n, 0.0, 0.0, variant, alpha0, reps, base.seed, _NULL_STREAMS)], n_jobs)
+        _check_replicates(calibration_reps)
+        jobs.append(_mixture_job(n, 0.0, 0.0, variant, alpha0, calibration_reps, base.seed,
+                                 _CALIB_STREAMS))
+    alt_scores, null_scores, *calibration = _streams.run_all(jobs, n_jobs)
+    if calibration:
+        critical = empirical_quantile(calibration[0], alpha)
     return DetectionSummary(
         null_scores=null_scores,
         alt_scores=alt_scores,
@@ -281,7 +304,7 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     original = _matrix_hc_score(matrix, variant, alpha0)
     base = as_seed(seed)
     scores = _streams.run(_shuffle_batch, (matrix, variant, alpha0), shuffles,
-                          calibrate.STREAM_BLOCK, matrix.data.size, base, 1)
+                          STREAM_BLOCK, matrix.data.size, base, 1)
     exceed = int(np.sum(scores >= original))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)
 

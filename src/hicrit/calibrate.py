@@ -2,11 +2,12 @@
 
 Two routes: the Gumbel-limit closed form (cheap, accurate for the plus
 variant at large N) and seeded Monte Carlo under the uniform null (the
-reference, reproducing the usual simulated tables). A null replicate draws
-only the floor(alpha0*N) smallest uniform P-values, in order, through Renyi's
-representation of uniform order statistics (``_null_window``): no N-wide
-draw and no sort. Simulated quantiles are persisted in the JSON-lines record
-store (``_store``) so they are paid for once.
+reference, reproducing the usual simulated tables). The null is arw's
+rare/weak mixture at epsilon = 0: a replicate draws only the floor(alpha0*N)
+smallest uniform P-values, in order, through Renyi's representation of
+uniform order statistics, and detect-sim draws its calibration stream so in
+the one pool of its three streams. Simulated quantiles are persisted in the
+JSON-lines record store (``_store``) so they are paid for once.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import _store, _streams
+from . import _store, _streams, arw
 from .errors import CacheMissError, InvalidInputError
-from .hc_core import (PValueSeries, _check_level, _check_variant, _index_range, hc_plus,
-                      hc_scores_sorted_batch, hc_star)
-from .numerics import MIN_PVALUE, RNG_VERSION, RngSeed, as_seed
+from .hc_core import (PValueSeries, _check_level, _check_replicates, _check_variant,
+                      _index_range, empirical_quantile, hc_plus, hc_star)
+# Not called here: the benchmark's tracer resolves the kernel under this name.
+from .hc_core import hc_scores_sorted_batch  # noqa: F401
+from .numerics import RNG_VERSION, RngSeed, as_seed
 
 __all__ = [
     "CriticalValueEntry",
@@ -35,10 +38,6 @@ __all__ = [
     "load_cache",
     "append_cache_entry",
 ]
-
-# Replicates per RNG stream; fixed so the stream layout (and therefore every
-# simulated score) does not depend on the worker count.
-STREAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -70,69 +69,30 @@ def gumbel_critical(N: int, alpha: float) -> float:
     return (c - math.log(math.log(1.0 / (1.0 - alpha)))) / b
 
 
-def _null_window(b: int, n, k: int, rng, out=None) -> np.ndarray:
-    """The min(k, n) smallest of n iid Uniform(0, 1), ascending, in each of b rows.
-
-    ``n`` is one size or an array of b per-row sizes. Renyi's representation:
-    with S the partial sums of k Exp(1) draws and G ~ Gamma(n + 1 - k0),
-    k0 = min(k, n), U_(1..k0) = S_1..S_k0 / (S_k0 + G); G is Gamma(1) when
-    k0 = n. Draws the b*k exponentials, then the b gammas; no n-wide draw, no
-    sort. Values are clamped at MIN_PVALUE; columns k0..k of a row with n < k
-    hold no order statistics. The window goes to ``out[:, :k]`` when given,
-    and is returned.
-    """
-    s = rng.standard_exponential((b, k))
-    np.cumsum(s, axis=1, out=s)
-    k0 = np.reshape(np.minimum(k, n), (-1, 1))
-    total = np.take_along_axis(s, np.broadcast_to(k0 - 1, (b, 1)), axis=1)
-    total += rng.standard_gamma(np.reshape(n, (-1, 1)) + 1 - k0, (b, 1))
-    window = s if out is None else out[:, :k]
-    np.divide(s, total, out=window)
-    return np.maximum(window, MIN_PVALUE, out=window)
-
-
-def _null_batch(params, b: int, rng) -> np.ndarray:
-    N, variant, alpha0 = params
-    # The kernel reads only the first k_max columns of each N-wide row.
-    p = np.empty((b, N))
-    _null_window(b, N, _index_range(alpha0, N), rng, p)
-    return hc_scores_sorted_batch(p, variant, alpha0)
-
-
 def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
                          replicates: int = 10_000, seed: int | RngSeed = 0,
                          n_jobs: int = 1) -> np.ndarray:
     """HC scores of ``replicates`` independent uniform null series of size N.
 
-    Deterministic for a given seed, independently of n_jobs: replicates are
-    split into STREAM_BLOCK-sized chunks with one Philox stream each. Refuses
-    a variant other than 'star' or 'plus' and alpha0 outside (0, 1] before
-    any draw.
+    Drawn by arw's mixture sampler at epsilon = 0; deterministic for a given
+    seed, independently of n_jobs: one Philox stream per arw.STREAM_BLOCK
+    replicates. Refuses a variant other than 'star' or 'plus' and alpha0
+    outside (0, 1] before any draw.
     """
     _check_variant(variant)
     _index_range(alpha0, N)
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
     base = as_seed(seed)
-    return _streams.run(_null_batch, (N, variant, alpha0), replicates, STREAM_BLOCK, N,
-                        base, n_jobs)
-
-
-def empirical_quantile(scores: np.ndarray, alpha: float) -> float:
-    """(1-alpha) quantile as the order statistic at ceil((1-alpha)*R)."""
-    _check_level(alpha)
-    s = np.sort(np.asarray(scores, dtype=float))
-    r = s.size
-    idx = int(math.ceil((1.0 - alpha) * r - 1e-9))
-    return float(s[min(max(idx, 1), r) - 1])
+    return _streams.run(*arw._mixture_job(N, 0.0, 0.0, variant, alpha0, replicates, base.seed,
+                                          base.stream_id), n_jobs)
 
 
 def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float = 0.5,
                       replicates: int = 100_000, seed: int | RngSeed = 0,
                       n_jobs: int = 1) -> CriticalValueEntry:
     """Monte Carlo critical value: empirical (1-alpha) null quantile."""
-    if replicates < 100:
-        raise InvalidInputError(f"need replicates >= 100, got {replicates}")
+    _check_replicates(replicates)
     base = as_seed(seed)
     scores = simulate_null_scores(N, variant, alpha0, replicates, base, n_jobs=n_jobs)
     q = empirical_quantile(scores, alpha)

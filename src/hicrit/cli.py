@@ -407,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_problems(args):
     """Option combinations argparse cannot check: (violated, message) pairs."""
     yield args.precision < 0, "--precision must be >= 0"
+    yield getattr(args, "threads", 1) < 1, "--threads must be >= 1"
     if args.subcommand == "pairs":
         yield not (args.simulate or args.input), "needs --input or --simulate"
         yield args.simulate and args.seed is None, "--simulate requires --seed"

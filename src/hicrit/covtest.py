@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _store, _streams
 from .errors import InvalidInputError
-from .hc_core import HcResult, PValueSeries, _first_max, _floor_index, ohc_plus_band
+from .hc_core import (HcResult, PValueSeries, _check_replicates, _first_max, _floor_index,
+                      ohc_plus_band)
 from .numerics import (RNG_VERSION, RngSeed, as_generator, as_seed, clamp_pvalues, student_t_cdf,
                        student_t_sf)
 
@@ -213,8 +214,7 @@ def _profile_batch(params, b: int, rng) -> np.ndarray:
 def eigen_null_profile(n: int, p: int, replicates: int = 500, seed=0,
                        n_jobs: int = 1) -> EigenNullProfile:
     """Simulate the null eigenvalue profile for an n x p standard normal matrix."""
-    if replicates < 100:
-        raise InvalidInputError(f"need replicates >= 100, got {replicates}")
+    _check_replicates(replicates)
     if n < 2 or p < 2:
         raise InvalidInputError(f"need n, p >= 2, got n={n}, p={p}")
     base = as_seed(seed)

@@ -38,6 +38,7 @@ __all__ = [
     "gof_empirical",
     "bh_fdr_select",
     "hc_scores_sorted_batch",
+    "empirical_quantile",
 ]
 
 
@@ -125,6 +126,19 @@ def _check_level(alpha: float) -> None:
 def _check_variant(variant: str) -> None:
     if variant not in ("star", "plus"):
         raise InvalidInputError(f"variant must be 'star' or 'plus', got {variant!r}")
+
+
+def _check_mixture(epsilon: float, tau: float) -> None:
+    # The rare/weak mixture (1 - epsilon) N(0, 1) + epsilon N(tau, 1).
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if not math.isfinite(tau):
+        raise InvalidInputError(f"tau must be finite, got {tau}")
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 100:
+        raise InvalidInputError(f"need replicates >= 100, got {replicates}")
 
 
 def _floor_index(alpha0: float, n: int) -> int:
@@ -372,3 +386,11 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     if variant == "plus":
         np.copyto(comp, -np.inf, where=ps <= 1.0 / n)  # the plus variant's guard
     return comp.max(axis=1)
+
+
+def empirical_quantile(scores: np.ndarray, alpha: float) -> float:
+    """(1-alpha) quantile as the order statistic at ceil((1-alpha)*R)."""
+    _check_level(alpha)
+    s = np.sort(np.asarray(scores, dtype=float))
+    idx = int(math.ceil((1.0 - alpha) * s.size - 1e-9))
+    return float(s[min(max(idx, 1), s.size) - 1])

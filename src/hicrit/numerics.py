@@ -94,7 +94,7 @@ def std_normal_sf(x):
 def std_normal_quantile(p):
     """Inverse of std_normal_cdf on (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidInputError(f"p must lie strictly inside (0, 1), got {p}")
     out = special.ndtri(arr)
     return float(out) if np.isscalar(p) else out
@@ -106,7 +106,7 @@ def student_t_cdf(x, df: int):
     Uses the regularized incomplete beta identity
     F(x) = 1 - I_{df/(df+x^2)}(df/2, 1/2) / 2 for x >= 0, mirrored by symmetry.
     """
-    if df < 1:
+    if not df >= 1:
         raise InvalidInputError(f"df must be >= 1, got {df}")
 
     def cdf(x):

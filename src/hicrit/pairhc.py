@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _streams
 from .errors import InvalidInputError
-from .hc_core import HcResult, _first_max, _floor_index
+from .hc_core import HcResult, _check_mixture, _first_max, _floor_index
 from .numerics import RngSeed, as_generator
 
 __all__ = [
@@ -142,13 +142,20 @@ def pair_hc_star(pairs: RankedPairs, alpha0: float = 0.5,
     return _first_max(comp[k_lo - 1:k_hi], k_lo - 1, "pair", alpha0)
 
 
-def sample_bivariate_mixture(n: int, epsilon: float, tau: float, rho: float,
-                             seed=0) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. pairs from (1-eps) N(0, I_2) + eps N(tau*1_2, [[1, rho], [rho, 1]])."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise InvalidInputError(f"epsilon must lie in [0, 1], got {epsilon}")
+def _check_pair_mixture(epsilon: float, tau: float, rho: float) -> None:
+    _check_mixture(epsilon, tau)
     if not abs(rho) < 1.0:
         raise InvalidInputError(f"need |rho| < 1, got {rho}")
+
+
+def sample_bivariate_mixture(n: int, epsilon: float, tau: float, rho: float,
+                             seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. pairs from (1-eps) N(0, I_2) + eps N(tau*1_2, [[1, rho], [rho, 1]]).
+
+    Refuses epsilon outside [0, 1], a tau that is not finite and |rho| >= 1
+    (NaN too).
+    """
+    _check_pair_mixture(epsilon, tau, rho)
     rng = as_generator(seed)
     x = rng.standard_normal(n)
     z = rng.standard_normal(n)
@@ -171,11 +178,15 @@ def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: i
                          seed: int, alpha0: float = 0.5) -> np.ndarray:
     """pair_hc_star scores of ``reps`` mixture samples of n pairs.
 
-    Replicate k is drawn from its own Philox stream RngSeed(seed, k).
+    Replicate k is drawn from its own Philox stream RngSeed(seed, k). Refuses
+    what sample_bivariate_mixture refuses, and alpha0 outside (0, 1], before
+    any draw.
     """
     if n < 2:
         raise InvalidInputError(f"need at least 2 pairs, got n={n}")
     if reps < 1:
         raise InvalidInputError(f"reps must be positive, got {reps}")
+    _check_pair_mixture(epsilon, tau, rho)
+    _floor_index(alpha0, n)
     return _streams.run(_simulation_batch, (n, epsilon, tau, rho, alpha0), reps, 1, 2 * n,
                         RngSeed(seed), 1)

@@ -1,6 +1,8 @@
 """Each argument rule has one owner: every entry point taking the argument
 refuses the same values with InvalidInputError, before any cache read or draw."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from hicrit.hc_core import (PValueSeries, avg_likelihood_ratio, empirical_cdf_on
                             gof_empirical, gof_theoretical, hc_at_level, hc_plus,
                             hc_scores_sorted_batch, hc_star)
 from hicrit.hct import LabeledMatrix, ZScores, hct_threshold
-from hicrit.numerics import RngSeed
-from hicrit.pairhc import RankedPairs, pair_hc_star
+from hicrit.numerics import RngSeed, std_normal_quantile, student_t_cdf, student_t_sf
+from hicrit.pairhc import (RankedPairs, pair_hc_star, sample_bivariate_mixture,
+                           simulate_pair_scores)
 from hicrit.phase import PhasePoint, ideal_fdr
 
 POLICIES = ("cache_only", "simulate_if_missing", "gumbel_fallback")
@@ -130,6 +133,32 @@ def test_mixture_rule(entry, epsilon, tau, message):
         MIXTURE_ENTRY_POINTS[entry](epsilon, tau)
 
 
+PAIR_MIXTURE_ENTRY_POINTS = {
+    "sample_bivariate_mixture": lambda *mix: sample_bivariate_mixture(100, *mix),
+    "simulate_pair_scores": lambda *mix: simulate_pair_scores(100, *mix, 3, seed=1),
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_MIXTURE_ENTRY_POINTS)
+@pytest.mark.parametrize("epsilon, tau, rho, message", [
+    (1.5, 1.0, 0.0, "epsilon must lie in"),
+    (float("nan"), 1.0, 0.0, "epsilon must lie in"),
+    (0.1, float("nan"), 0.0, "tau must be finite"),
+    (0.1, float("inf"), 0.0, "tau must be finite"),
+    (0.1, 1.0, 1.0, "need |rho| < 1"),
+    (0.1, 1.0, float("nan"), "need |rho| < 1"),
+])
+def test_pair_mixture_rule(entry, epsilon, tau, rho, message):
+    # The same epsilon/tau rule as the rare/weak mixture, plus |rho| < 1.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        PAIR_MIXTURE_ENTRY_POINTS[entry](epsilon, tau, rho)
+
+
+def test_simulate_pair_scores_checks_alpha0_before_drawing():
+    with pytest.raises(InvalidInputError, match="alpha0 must lie in"):
+        simulate_pair_scores(100, 0.1, 1.0, 0.0, 3, seed=1, alpha0=1.5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: ArwParams(100, 0.6, float("nan")),
     lambda: PhasePoint(0.6, float("nan")),
@@ -137,8 +166,12 @@ def test_mixture_rule(entry, epsilon, tau, message):
     lambda: make_spiked_sigma(4, 1, float("nan")),
     lambda: pair_hc_star(PAIRS, 0.5, min_expected=float("nan")),
     lambda: detection_experiment(100, 10, epsilon=0.1, tau=1.0, critical=float("nan")),
+    lambda: std_normal_quantile(float("nan")),
+    lambda: student_t_cdf(0.5, float("nan")),
+    lambda: student_t_sf(0.5, float("nan")),
 ], ids=["ArwParams.r", "PhasePoint.r", "ideal_fdr.r", "make_spiked_sigma.h",
-        "pair_hc_star.min_expected", "detection_experiment.critical"])
+        "pair_hc_star.min_expected", "detection_experiment.critical",
+        "std_normal_quantile.p", "student_t_cdf.df", "student_t_sf.df"])
 def test_nan_is_refused_by_range_checks(build):
     with pytest.raises(InvalidInputError):
         build()

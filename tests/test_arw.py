@@ -7,10 +7,11 @@ from scipy.stats import ks_2samp
 from scipy.special import ndtr
 
 from hicrit import _streams
-from hicrit.arw import (ArwParams, detection_experiment, permutation_pvalue,
+from hicrit.arw import (ArwParams, STREAM_BLOCK, detection_experiment, permutation_pvalue,
                         permutation_test, pvalues_one_sided, pvalues_two_sided,
-                        sample_mixture, _mixture_batch, _mixture_job, _NULL_STREAMS)
-from hicrit.calibrate import STREAM_BLOCK, _null_batch, simulate_critical
+                        sample_mixture, _mixture_batch, _mixture_job, _CALIB_STREAMS,
+                        _NULL_STREAMS)
+from hicrit.calibrate import simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import _index_range, hc_scores_sorted_batch
 from hicrit.hct import LabeledMatrix
@@ -92,11 +93,12 @@ def test_pvalue_space_samplers_match_the_v1_law(sample, variant, alpha0):
     # samplers against the v1 references that draw and sort all N values.
     n, eps, tau = _LAW_CASES[alpha0]
     if sample == "null":
-        v1, v2, params = null_batch_v1, _null_batch, (n, variant, alpha0)
+        v1, v1_params, eps, tau = null_batch_v1, (n, variant, alpha0), 0.0, 0.0
     else:
-        v1, v2, params = mixture_batch_v1, _mixture_batch, (n, eps, tau, variant, alpha0)
-    old = _streams.run(v1, params, 4000, STREAM_BLOCK, n, RngSeed(60), 1)
-    new = _streams.run(v2, params, 4000, STREAM_BLOCK, n, RngSeed(61), 1)
+        v1, v1_params = mixture_batch_v1, (n, eps, tau, variant, alpha0)
+    params = (n, eps, tau, variant, alpha0)
+    old = _streams.run(v1, v1_params, 4000, STREAM_BLOCK, n, RngSeed(60), 1)
+    new = _streams.run(_mixture_batch, params, 4000, STREAM_BLOCK, n, RngSeed(61), 1)
     assert ks_2samp(old, new).pvalue >= 0.01
 
 
@@ -197,6 +199,42 @@ def test_mixture_batch_when_nonnulls_crowd_the_window(n, eps, alpha0):
     assert np.any(m >= n - math.floor(alpha0 * n) + 1)
 
 
+def _renyi_null_reference(n, variant, alpha0, b, rng):
+    # The uniform null by Renyi's representation alone, with no binomial and
+    # no merge: the b*k exponentials, then the b gammas, then the kernel.
+    k = _index_range(alpha0, n)
+    s = np.cumsum(rng.standard_exponential((b, k)), axis=1)
+    g = rng.standard_gamma(n + 1 - k, b)
+    p = np.ones((b, n))
+    p[:, :k] = np.maximum(s / (s[:, -1:] + g[:, None]), MIN_PVALUE)
+    return hc_scores_sorted_batch(p, variant, alpha0)
+
+
+@pytest.mark.parametrize("alpha0", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("variant", ["star", "plus"])
+def test_mixture_batch_at_epsilon_zero_is_the_renyi_null(alpha0, variant):
+    # The null is the eps = 0 mixture: its binomials use no random bits and
+    # nothing is merged, so the one sampler gives Renyi's null bit for bit.
+    for n in (1, 2, 3, 10, 37, 999, 1000, 5000):
+        if math.floor(alpha0 * n + 1e-9) < 1:
+            continue  # an empty index range, refused by both
+        got = _mixture_batch((n, 0.0, 0.0, variant, alpha0), 40, RngSeed(n, 5).generator())
+        want = _renyi_null_reference(n, variant, alpha0, 40, RngSeed(n, 5).generator())
+        assert np.array_equal(got, want), n
+
+
+def test_detection_streams_are_the_calibrate_streams():
+    # Drawing the calibration stream in the experiment's own stream-runner
+    # call changes no byte: it is simulate_critical on its namespace, and the
+    # null stream is simulate_null_scores on its own.
+    summary = detection_experiment(500, 600, 0.05, "star", seed=44, epsilon=0.02, tau=2.5,
+                                   calibration_reps=700)
+    entry = simulate_critical(500, 0.05, "star", 0.5, 700, RngSeed(44, _CALIB_STREAMS))
+    assert summary.critical == entry.quantile
+    null = simulate_null_scores(500, "star", 0.5, 600, RngSeed(44, _NULL_STREAMS))
+    np.testing.assert_array_equal(summary.null_scores, null)
+
+
 def test_clamp_ties_straddle_the_window():
     # In the tie case above, every row holds more clamped P-values than the
     # alpha0 = 0.1 window (200) and fewer than the alpha0 = 0.5 window (1000).
@@ -226,7 +264,7 @@ def test_detection_pool_matches_in_process(monkeypatch):
 
 def test_run_all_equals_separate_runs(monkeypatch):
     monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
-    jobs = [(_null_batch, (200, "plus", 0.5), 700, 300, 200, RngSeed(5, 10)),
+    jobs = [(_mixture_batch, (200, 0.0, 0.0, "plus", 0.5), 700, 300, 200, RngSeed(5, 10)),
             (_mixture_batch, (150, 0.05, 2.0, "star", 0.5), 450, 200, 150, RngSeed(5, 99))]
     for n_jobs in (1, 2):
         together = _streams.run_all(jobs, n_jobs)

@@ -522,3 +522,70 @@ def test_out_of_range_model_arguments_exit_3(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 3 and err.startswith("error: "), err
     assert "Traceback" not in err and "manifest=" not in out
+
+
+PAIRS_SIM = ["pairs", "--simulate", "--n", "100", "--epsilon", "0.1", "--reps", "3", "--seed", "1"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra, message", [
+    (["--tau", "nan"], "tau must be finite, got nan"),
+    (["--tau", "inf"], "tau must be finite, got inf"),
+    (["--epsilon", "1.5"], "epsilon must lie in [0, 1], got 1.5"),
+    (["--rho", "1"], "need |rho| < 1, got 1.0"),
+    (["--alpha0", "1.5"], "alpha0 must lie in (0, 1], got 1.5"),
+], ids=["tau-nan", "tau-inf", "epsilon-1.5", "rho-1", "alpha0-1.5"])
+def test_pairs_simulate_names_the_bad_argument(extra, message, capsys, monkeypatch):
+    # Refused before the first replicate is drawn, with the argument named
+    # and no numpy warning from a draw.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    code, out, err = run(capsys, *PAIRS_SIM, *extra)
+    assert code == 3 and err == f"error: {message}\n", err
+    assert "manifest=" not in out
+
+
+@pytest.mark.parametrize("subcommand, threads", [
+    ("calibrate", "0"), ("calibrate", "-3"), ("detect-sim", "0"), ("cov-eigen", "0")])
+def test_threads_below_one_is_a_usage_error(subcommand, threads, tmp_path, capsys,
+                                             monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a usage error")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    cache = str(tmp_path / "cache.jsonl")
+    data = tmp_path / "x.csv"
+    data.write_text("a,b\n1,2\n3,5\n4,4\n")
+    argv = {
+        "calibrate": ["--n", "1000", "--alpha", "0.05", "--reps", "1000", "--cache", cache],
+        "detect-sim": ["--n", "1000", "--epsilon", "0.1", "--tau", "1", "--reps", "10"],
+        "cov-eigen": ["--input", str(data), "--null-reps", "100", "--profile-cache", cache],
+    }[subcommand]
+    code, out, err = run(capsys, subcommand, *argv, "--seed", "1", "--threads", threads)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: hicrit {subcommand} ") and "--threads must be >= 1" in err
+    assert not os.path.exists(cache)
+
+
+def test_detect_sim_streams_share_one_pool(capsys, monkeypatch):
+    # Without --critical, the calibration, null and alternative streams go to
+    # one pool. Calibration alone (two blocks) and the null and alternative
+    # streams alone would each be above the work threshold.
+    argv = ["detect-sim", "--n", "2000", "--epsilon", "0.01", "--tau", "2.5", "--reps", "300",
+            "--calibration-reps", "600", "--seed", "3"]
+    code, in_process, err = run(capsys, *argv, "--threads", "1")
+    assert code == 0, err
+    pools = []
+
+    class CountingPool(_streams.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_streams, "ProcessPoolExecutor", CountingPool)
+    code, pooled, err = run(capsys, *argv, "--threads", "2")
+    assert code == 0, err
+    assert pools == [2]
+    assert output_lines(pooled) == output_lines(in_process)
