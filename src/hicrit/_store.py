@@ -6,11 +6,15 @@ from __future__ import annotations
 
 import fcntl
 import json
+import re
 
 from .errors import ValidationError
 from .numerics import RNG_VERSION
 
 _TYPES = dict(kind=str, params=dict, replicates=int, seed=int, stream_id=int, rng_version=str)
+# How ``append`` starts a line (sort_keys puts "kind" first); a kind name cut short
+# does not match, so such a line is parsed and refused.
+_KIND = re.compile(rb'\{"kind": "(\w+)", ')
 
 
 def provenance(stored) -> dict:
@@ -19,11 +23,16 @@ def provenance(stored) -> dict:
             "stream_id": int(stored.seed.stream_id), "rng_version": stored.rng_version}
 
 
-def _parse(path, data: bytes) -> list[tuple[int, dict]]:
-    """(file line, record) per complete line. Text after the last newline is an
-    append in progress, or one cut short, and is skipped."""
+def _parse(path, data: bytes, kind: str) -> list[tuple[int, dict]]:
+    """(file line, record) per complete line, except lines written for another kind:
+    those are skipped before ``json.loads`` and left to that kind's reader. Text
+    after the last newline is an append in progress, or one cut short, and is
+    skipped too."""
     out = []
     for line, text in enumerate(data.split(b"\n")[:-1], start=1):
+        head = _KIND.match(text)
+        if head and head[1] != kind.encode():
+            continue
         try:
             rec = json.loads(text)
         except ValueError:
@@ -46,7 +55,7 @@ def read(path, kind: str, make) -> list:
     except FileNotFoundError:
         return []
     out = []
-    for line, rec in _parse(path, data):
+    for line, rec in _parse(path, data, kind):
         try:
             if rec["kind"] == kind:
                 out.append(make(rec))
@@ -66,7 +75,7 @@ def append(path, kind: str, params: dict, stored, value) -> None:
         fh.seek(0)
         data = fh.read()
         if all({k: v for k, v in old.items() if k != "value"} != identity
-               for _, old in _parse(path, data)):
+               for _, old in _parse(path, data, kind)):
             fh.truncate(data.rfind(b"\n") + 1)
             fh.write(line)
 

@@ -11,7 +11,8 @@ and where its critical value came from.
 
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
-unusable file; 4 cache miss under the cache_only policy.
+unusable file, an unwritable --manifest path too; 4 cache miss under the
+cache_only policy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
 from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
-from .hc_core import avg_likelihood_ratio, berk_jones, hc_components, hc_plus, hc_star
+from .hc_core import (_floor_index, avg_likelihood_ratio, berk_jones, hc_components, hc_plus,
+                      hc_star)
 from .numerics import RNG_VERSION
 
 EXIT_OK = 0
@@ -101,10 +103,10 @@ def _manifest(args, started: float, provenance=None):
     if provenance is not None:
         doc["provenance"] = provenance
     line = json.dumps(doc, sort_keys=True)
-    print(f"manifest={line}")
-    if getattr(args, "manifest", None):
+    if args.manifest:
         with open(args.manifest, "w") as fh:
             fh.write(line + "\n")
+    print(f"manifest={line}")
 
 
 def _add_common(sub, seed=False, threads=False):
@@ -243,6 +245,9 @@ def _cmd_cov_clique(args, fmt):
 def _cmd_cov_eigen(args, fmt):
     data, _ = ingest_plain(args.input)
     n, p = data.shape
+    # Only _floor_index's (0, 1] check matters here: a bad alpha0 is refused
+    # before the profile is simulated and stored.
+    _floor_index(args.alpha0, 1)
     profile = covtest.eigen_null_profile_cached(n, p, args.null_reps, args.seed,
                                                 cache_path=args.profile_cache or _default_cache(),
                                                 n_jobs=args.threads)
@@ -418,23 +423,19 @@ def _usage_problems(args):
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         for violated, message in _usage_problems(args):
             if violated:
                 args.usage_error(message)
+        started = time.monotonic()
+        _manifest(args, started, args.func(args, _Fmt(args.precision)))
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)
-    started = time.monotonic()
-    fmt = _Fmt(getattr(args, "precision", 6))
-    try:
-        provenance = args.func(args, fmt)
     except (HicritError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS if isinstance(exc, CacheMissError) else EXIT_VALIDATION
-    _manifest(args, started, provenance)
     return EXIT_OK
 
 

@@ -302,7 +302,9 @@ def load_profile(path, n: int, p: int, min_replicates: int = 1) -> Optional[Eige
 
 def eigen_null_profile_cached(n: int, p: int, replicates: int, seed=0,
                               cache_path=None, n_jobs: int = 1) -> EigenNullProfile:
-    """Load a cached profile or simulate one and store it."""
+    """Load a cached profile or simulate one and store it; replicates are checked
+    before the cache is read."""
+    _check_replicates(replicates)
     if cache_path:
         hit = load_profile(cache_path, n, p, min_replicates=replicates)
         if hit is not None:

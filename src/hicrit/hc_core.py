@@ -210,15 +210,20 @@ def _first_max(window: np.ndarray, lo: int, variant: str, alpha0: float) -> HcRe
     return HcResult(float(window[k]), lo + k + 1, variant, alpha0)
 
 
-def _max_over(values: np.ndarray, lo: int, hi: int, variant: str, alpha0: float) -> HcResult:
-    """Max component of an ascending series over its 1-based indices lo < i <= hi."""
-    return _first_max(_components(values[:hi], values.size)[lo:], lo, variant, alpha0)
+def _hc_window(p: np.ndarray, variant: str, alpha0: float) -> np.ndarray:
+    """Components of columns 1..floor(alpha0*N) of rows of width N, 1-D or 2-D. The
+    plus guard sets entries with p <= 1/N to -inf: in an ascending row, the first ones."""
+    n = p.shape[-1]
+    ps = p[..., :_index_range(alpha0, n)]
+    comp = _components(ps, n)
+    if variant == "plus":
+        np.copyto(comp, -np.inf, where=ps <= 1.0 / n)
+    return comp
 
 
 def hc_star(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
     """Orthodox HC: max component over 1 <= i <= floor(alpha0*N)."""
-    s = as_series(series)
-    return _max_over(s.values, 0, _index_range(alpha0, s.n), "star", alpha0)
+    return _first_max(_hc_window(as_series(series).values, "star", alpha0), 0, "star", alpha0)
 
 
 def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
@@ -226,10 +231,7 @@ def hc_plus(series: SeriesLike, alpha0: float = 0.5) -> HcResult:
 
     Returns score -inf with empty_range=True when no index qualifies.
     """
-    s = as_series(series)
-    k_max = _index_range(alpha0, s.n)
-    lo = int(np.searchsorted(s.values[:k_max], 1.0 / s.n, "right"))
-    return _max_over(s.values, lo, k_max, "plus", alpha0)
+    return _first_max(_hc_window(as_series(series).values, "plus", alpha0), 0, "plus", alpha0)
 
 
 def ohc_plus_band(series: SeriesLike, p_min: Optional[float] = None, p_max: float = 0.5) -> HcResult:
@@ -246,7 +248,7 @@ def ohc_plus_band(series: SeriesLike, p_min: Optional[float] = None, p_max: floa
         raise InvalidInputError(f"need 0 <= p_min <= p_max <= 1, got [{p_min}, {p_max}]")
     lo = int(np.searchsorted(s.values, p_min, "left"))
     hi = int(np.searchsorted(s.values, p_max, "right"))
-    return _max_over(s.values, lo, hi, "plus", p_max)
+    return _first_max(_components(s.values[:hi], s.n)[lo:], lo, "plus", p_max)
 
 
 def hc_feature_scores(series: SeriesLike) -> np.ndarray:
@@ -374,18 +376,14 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
     entries of each row are read, N being the row width; they must be the
     row's k_max smallest P-values, ascending and inside (0, 1], and the rest
     of the row may hold anything. Rows whose restricted range is empty score
-    -inf.
+    -inf. Its window (``_hc_window``) is also the one behind hc_star and
+    hc_plus, so a simulated null score and an observed score are one statistic.
     """
     p = np.asarray(sorted_pvalues, dtype=float)
     if p.ndim != 2:
         raise InvalidInputError("expected a 2-D array (batch, N)")
     _check_variant(variant)
-    n = p.shape[1]
-    ps = p[:, :_index_range(alpha0, n)]
-    comp = _components(ps, n)
-    if variant == "plus":
-        np.copyto(comp, -np.inf, where=ps <= 1.0 / n)  # the plus variant's guard
-    return comp.max(axis=1)
+    return _hc_window(p, variant, alpha0).max(axis=1)
 
 
 def empirical_quantile(scores: np.ndarray, alpha: float) -> float:

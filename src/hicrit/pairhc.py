@@ -115,8 +115,12 @@ def pair_hc_components(pairs: RankedPairs) -> np.ndarray:
     return comp
 
 
+# pair_hc_star's default, also the one simulate_pair_scores checks before drawing.
+_MIN_EXPECTED = 1.0
+
+
 def pair_hc_star(pairs: RankedPairs, alpha0: float = 0.5,
-                 min_expected: float = 1.0) -> HcResult:
+                 min_expected: float = _MIN_EXPECTED) -> HcResult:
     """Max component over the upper corner range ceil((1-alpha0)n) <= k <= n-1.
 
     Corners whose null expected count n(1-k/n)^2 falls below ``min_expected``
@@ -132,14 +136,21 @@ def pair_hc_star(pairs: RankedPairs, alpha0: float = 0.5,
     if not min_expected >= 0.0:
         raise InvalidInputError(f"min_expected must be >= 0, got {min_expected}")
     comp = pair_hc_components(pairs)
+    k_lo, k_hi = _corner_range(n, alpha0, min_expected)
+    return _first_max(comp[k_lo - 1:k_hi], k_lo - 1, "pair", alpha0)
+
+
+def _corner_range(n: int, alpha0: float, min_expected: float) -> tuple[int, int]:
+    """pair_hc_star's corner range (k_lo, k_hi), refusing an empty one."""
     k_lo = max(2, int(math.ceil((1.0 - alpha0) * n - 1e-9)))
     k_hi = n - 1
     if min_expected > 0.0:
         # n(1-k/n)^2 >= min_expected  <=>  k <= n - sqrt(n*min_expected)
         k_hi = min(k_hi, int(math.floor(n - math.sqrt(n * min_expected) + 1e-9)))
     if k_lo > k_hi:
-        raise InvalidInputError(f"empty corner range [{k_lo}, {k_hi}] for n={n}")
-    return _first_max(comp[k_lo - 1:k_hi], k_lo - 1, "pair", alpha0)
+        raise InvalidInputError(f"alpha0={alpha0} and n={n} leave an empty corner range "
+                                f"[{k_lo}, {k_hi}]")
+    return k_lo, k_hi
 
 
 def _check_pair_mixture(epsilon: float, tau: float, rho: float) -> None:
@@ -179,8 +190,8 @@ def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: i
     """pair_hc_star scores of ``reps`` mixture samples of n pairs.
 
     Replicate k is drawn from its own Philox stream RngSeed(seed, k). Refuses
-    what sample_bivariate_mixture refuses, and alpha0 outside (0, 1], before
-    any draw.
+    what sample_bivariate_mixture refuses, alpha0 outside (0, 1] and an empty
+    corner range before any draw.
     """
     if n < 2:
         raise InvalidInputError(f"need at least 2 pairs, got n={n}")
@@ -188,5 +199,6 @@ def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: i
         raise InvalidInputError(f"reps must be positive, got {reps}")
     _check_pair_mixture(epsilon, tau, rho)
     _floor_index(alpha0, n)
+    _corner_range(n, alpha0, _MIN_EXPECTED)
     return _streams.run(_simulation_batch, (n, epsilon, tau, rho, alpha0), reps, 1, 2 * n,
                         RngSeed(seed), 1)

@@ -8,9 +8,12 @@ import pytest
 
 from hicrit import _streams
 from hicrit.arw import ArwParams, detection_experiment, permutation_test, sample_mixture
-from hicrit.calibrate import (empirical_quantile, gumbel_critical, level_alpha_test,
-                              resolve_critical, simulate_null_scores)
-from hicrit.covtest import EigenNullProfile, eigen_hc_test, make_spiked_sigma
+from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, empirical_quantile,
+                              gumbel_critical, level_alpha_test, resolve_critical,
+                              simulate_null_scores)
+from hicrit.cli import dispatch
+from hicrit.covtest import (EigenNullProfile, eigen_hc_test, eigen_null_profile_cached,
+                            make_spiked_sigma, save_profile)
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import (PValueSeries, avg_likelihood_ratio, empirical_cdf_on_grid,
                             gof_empirical, gof_theoretical, hc_at_level, hc_plus,
@@ -152,6 +155,39 @@ def test_pair_mixture_rule(entry, epsilon, tau, rho, message):
     # The same epsilon/tau rule as the rare/weak mixture, plus |rho| < 1.
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         PAIR_MIXTURE_ENTRY_POINTS[entry](epsilon, tau, rho)
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """A store holding a 200-replicate critical value and profile that each match."""
+    path = str(tmp_path / "cache.jsonl")
+    append_cache_entry(path, CriticalValueEntry(100, 0.05, "plus", 0.5, 200, RngSeed(1), 3.0))
+    save_profile(path, EigenNullProfile(6, 4, np.ones(4), np.ones(4), 200, RngSeed(1)))
+    return path
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("replicates", [50, 0, -5])
+def test_replicate_rule_comes_before_the_cache_read(stored, policy, replicates):
+    # A stored entry with more replicates would hit: the rule must not depend on it.
+    with pytest.raises(InvalidInputError, match="need replicates >= 100"):
+        resolve_critical(100, 0.05, "plus", policy, replicates=replicates, cache_path=stored)
+    with pytest.raises(InvalidInputError, match="need replicates >= 100"):
+        eigen_null_profile_cached(6, 4, replicates, cache_path=stored)
+
+
+def test_replicate_rule_exit_code_does_not_depend_on_the_cache(stored, tmp_path, capsys):
+    data = tmp_path / "m.csv"
+    data.write_text("a,b,c,d\n" + "\n".join(",".join(str((i * j) % 5 + j) for j in range(4))
+                                             for i in range(6)) + "\n")
+    empty = str(tmp_path / "empty.jsonl")
+    for cache in (stored, empty):
+        for argv in (["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "50",
+                      "--seed", "1", "--threads", "1", "--cache", cache],
+                     ["cov-eigen", "--input", str(data), "--null-reps", "5", "--seed", "1",
+                      "--threads", "1", "--profile-cache", cache]):
+            assert dispatch(argv) == 3, (argv, cache)
+            assert "need replicates >= 100" in capsys.readouterr().err
 
 
 def test_simulate_pair_scores_checks_alpha0_before_drawing():

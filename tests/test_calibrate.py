@@ -1,5 +1,7 @@
+import json
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, critical_v
                               load_cache, resolve_critical, simulate_critical,
                               simulate_null_scores)
 from hicrit.cli import dispatch
+from hicrit.covtest import EigenNullProfile, load_profile, save_profile
 from hicrit.errors import CacheMissError, InvalidInputError, ValidationError
 from hicrit.hc_core import PValueSeries
 from hicrit.numerics import RngSeed
@@ -175,6 +178,38 @@ def test_unterminated_last_line_is_skipped(tmp_path):
     assert load_cache(path) == [first, second]
     append_cache_entry(path, second)  # the same identity again is not stored twice
     assert load_cache(path) == [first, second]
+
+
+def test_a_read_parses_only_its_own_kind(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    first = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5)
+    append_cache_entry(path, first)
+    for k in range(3):
+        save_profile(path, EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.2, 0.1]),
+                                            100, RngSeed(k)))
+    loads = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: loads.append(text) or real_loads(text))
+    assert load_cache(path) == [first]
+    assert len(loads) == 1  # the three profile lines are not parsed
+    assert load_profile(path, 3, 2).seed == RngSeed(2)
+    assert len(loads) == 4
+    second = replace(first, seed=RngSeed(2))
+    append_cache_entry(path, second)
+    assert len(loads) == 5  # append compares identities with its own kind only
+    assert load_cache(path) == [first, second]
+    good = path.read_text().splitlines(keepends=True)
+    # A line that is not a record, or whose kind name is cut short, is refused by
+    # either reader; a broken record of the other kind is left to its own reader.
+    for bad in ("not a record\n", good[0][:13] + "\n"):
+        path.write_text("".join(good[:2]) + bad)
+        for load in (load_cache, lambda p: load_profile(p, 3, 2)):
+            with pytest.raises(ValidationError, match="row 3"):
+                load(path)
+    path.write_text(good[0] + good[1].replace('"means": [1.5, 0.5]', '"means": [1.5]'))
+    assert load_cache(path) == [first]
+    with pytest.raises(ValidationError, match="row 2"):
+        load_profile(path, 3, 2)
 
 
 def test_critical_value_policies(tmp_path):

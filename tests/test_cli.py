@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -534,7 +536,9 @@ PAIRS_SIM = ["pairs", "--simulate", "--n", "100", "--epsilon", "0.1", "--reps", 
     (["--epsilon", "1.5"], "epsilon must lie in [0, 1], got 1.5"),
     (["--rho", "1"], "need |rho| < 1, got 1.0"),
     (["--alpha0", "1.5"], "alpha0 must lie in (0, 1], got 1.5"),
-], ids=["tau-nan", "tau-inf", "epsilon-1.5", "rho-1", "alpha0-1.5"])
+    (["--alpha0", "0.001"], "alpha0=0.001 and n=100 leave an empty corner range [100, 90]"),
+    (["--n", "3"], "alpha0=0.5 and n=3 leave an empty corner range [2, 1]"),
+], ids=["tau-nan", "tau-inf", "epsilon-1.5", "rho-1", "alpha0-1.5", "alpha0-0.001", "n-3"])
 def test_pairs_simulate_names_the_bad_argument(extra, message, capsys, monkeypatch):
     # Refused before the first replicate is drawn, with the argument named
     # and no numpy warning from a draw.
@@ -589,3 +593,40 @@ def test_detect_sim_streams_share_one_pool(capsys, monkeypatch):
     assert code == 0, err
     assert pools == [2]
     assert output_lines(pooled) == output_lines(in_process)
+
+
+@pytest.mark.parametrize("alpha0", ["0", "nan"])
+def test_cov_eigen_checks_alpha0_before_its_profile(alpha0, tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    data = tmp_path / "m.csv"
+    data.write_text("a,b,c\n" + "\n".join(f"{i},{i * i % 7},{i % 3}" for i in range(8)) + "\n")
+    cache = tmp_path / "pc.jsonl"
+    code, out, err = run(capsys, "cov-eigen", "--input", str(data), "--null-reps", "100",
+                         "--seed", "1", "--threads", "1", "--profile-cache", str(cache),
+                         "--alpha0", alpha0)
+    assert code == 3 and "alpha0 must lie in (0, 1]" in err
+    assert "manifest=" not in out
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("subcommand", ["score", "calibrate"])
+def test_unwritable_manifest_exits_3_without_a_traceback(subcommand, target, pvals_file,
+                                                         tmp_path):
+    manifest = str(tmp_path / "no" / "such" / "m.json" if target == "missing-directory"
+                   else tmp_path)
+    argv = {"score": ["score", "--input", pvals_file],
+            "calibrate": ["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200",
+                          "--seed", "1", "--cache", str(tmp_path / "c.jsonl"),
+                          "--threads", "1"]}[subcommand]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "hicrit.cli", *argv, "--manifest", manifest],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert any(line.startswith("error: ") and manifest in line
+               for line in done.stderr.splitlines()), done.stderr
+    assert "manifest=" not in done.stdout
