@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import re
 
 from .errors import ValidationError
@@ -47,12 +48,15 @@ def _parse(path, data: bytes, kind: str) -> list[tuple[int, dict]]:
 
 def read(path, kind: str, make) -> list:
     """``make(record)`` per record of ``kind`` in file order, read without a lock; a
-    missing file is empty. ``make`` raising KeyError, TypeError or ValueError
-    marks a malformed record."""
+    missing file in an existing directory is empty, a missing directory raises
+    FileNotFoundError. ``make`` raising KeyError, TypeError or ValueError marks a
+    malformed record."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise
         return []
     out = []
     for line, rec in _parse(path, data, kind):

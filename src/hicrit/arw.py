@@ -10,6 +10,12 @@ the smallest null P-values, and ndtr on the nonnulls alone. The experiment's
 null, alternative and calibration streams share one stream-runner pool. A
 permutation scheme (independent row shuffles per column, on the stream
 runner) supplies P-values for HC scores on real labeled matrices.
+
+Seeds: each Monte Carlo entry point takes an int or an RngSeed and reads it once
+through ``numerics.as_seed`` as ``base`` (an int seed is stream 0); block k of a
+job draws Philox stream base.stream_id + offset + k, the job's offset set by the
+module that defines it. The experiment's null, alternative and calibration jobs
+sit at offsets 0, 2^20 and 2^21.
 """
 
 from __future__ import annotations
@@ -179,10 +185,9 @@ def _mixture_batch(params, b: int, rng) -> np.ndarray:
     return hc_scores_sorted_batch(out, variant, alpha0)
 
 
-def _mixture_job(n, eps, tau, variant, alpha0, reps, seed, stream_base):
-    # A stream-runner job of ``reps`` mixture scores; eps = 0 is the uniform null.
-    return (_mixture_batch, (n, eps, tau, variant, alpha0), reps, STREAM_BLOCK, n,
-            RngSeed(seed, stream_base))
+def _mixture_job(n, eps, tau, variant, alpha0, reps, base: RngSeed):
+    # A stream-runner job of ``reps`` mixture scores from stream ``base`` on; eps = 0 is the null.
+    return (_mixture_batch, (n, eps, tau, variant, alpha0), reps, STREAM_BLOCK, n, base)
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,7 @@ class DetectionSummary:
     alpha: float
     variant: str
     alpha0: float
+    stream_ids: dict  # first stream of each job run: null, alternative[, calibration]
 
     @property
     def power_se(self) -> float:
@@ -224,6 +230,9 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     The rejection threshold is ``critical`` if given, otherwise the empirical
     (1-alpha) quantile of ``calibration_reps`` null scores on a dedicated
     stream namespace, drawn in the pool of the null and alternative streams.
+    ``seed`` is an int or an RngSeed; with base = as_seed(seed), the null,
+    alternative and calibration jobs start at streams base.stream_id + 0,
+    + 2^20 and + 2^21, which ``stream_ids`` reports.
     Power and size are the rejection rates of the alternative and null score
     samples. Before any draw it refuses alpha outside (0, 1), a variant other
     than 'star' or 'plus', epsilon outside [0, 1], a tau or a given
@@ -239,13 +248,15 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     if critical is not None and not math.isfinite(critical):
         raise InvalidInputError(f"critical must be finite, got {critical}")
     base = as_seed(seed)
-    jobs = [_mixture_job(n, eps, t, variant, alpha0, reps, base.seed, _ALT_STREAMS),
-            _mixture_job(n, 0.0, 0.0, variant, alpha0, reps, base.seed, _NULL_STREAMS)]
+    jobs = {"alternative": _mixture_job(n, eps, t, variant, alpha0, reps,
+                                        base.stream(base.stream_id + _ALT_STREAMS)),
+            "null": _mixture_job(n, 0.0, 0.0, variant, alpha0, reps,
+                                 base.stream(base.stream_id + _NULL_STREAMS))}
     if critical is None:
         _check_replicates(calibration_reps)
-        jobs.append(_mixture_job(n, 0.0, 0.0, variant, alpha0, calibration_reps, base.seed,
-                                 _CALIB_STREAMS))
-    alt_scores, null_scores, *calibration = _streams.run_all(jobs, n_jobs)
+        jobs["calibration"] = _mixture_job(n, 0.0, 0.0, variant, alpha0, calibration_reps,
+                                           base.stream(base.stream_id + _CALIB_STREAMS))
+    alt_scores, null_scores, *calibration = _streams.run_all(list(jobs.values()), n_jobs)
     if calibration:
         critical = empirical_quantile(calibration[0], alpha)
     return DetectionSummary(
@@ -257,6 +268,7 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
         alpha=float(alpha),
         variant=variant,
         alpha0=float(alpha0),
+        stream_ids={name: job[-1].stream_id for name, job in jobs.items()},
     )
 
 

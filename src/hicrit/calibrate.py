@@ -83,9 +83,8 @@ def simulate_null_scores(N: int, variant: str = "plus", alpha0: float = 0.5,
     _index_range(alpha0, N)
     if replicates < 1:
         raise InvalidInputError(f"replicates must be positive, got {replicates}")
-    base = as_seed(seed)
-    return _streams.run(*arw._mixture_job(N, 0.0, 0.0, variant, alpha0, replicates, base.seed,
-                                          base.stream_id), n_jobs)
+    return _streams.run(*arw._mixture_job(N, 0.0, 0.0, variant, alpha0, replicates,
+                                          as_seed(seed)), n_jobs)
 
 
 def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float = 0.5,

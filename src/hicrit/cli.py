@@ -7,12 +7,14 @@ and each run ends with a single manifest line recording the parameters, seed,
 input digests and duration so it can be replayed bit-exactly; calibrate and
 cov-eigen add the seed, stream, replicates and RNG version of the value used,
 and detect-sim the seed, streams, replicates and RNG version of its samples
-and where its critical value came from.
+and where its critical value came from; permtest and pairs --simulate add the
+seed, first stream, replicates and RNG version of their draws.
 
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
-unusable file, an unwritable --manifest path too; 4 cache miss under the
-cache_only policy.
+unusable file, an unwritable --manifest path too, and a cache path in a
+missing directory, refused before any draw; 4 cache miss under the cache_only
+policy.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
 from .hc_core import (_floor_index, avg_likelihood_ratio, berk_jones, hc_components, hc_plus,
                       hc_star)
-from .numerics import RNG_VERSION
+from .numerics import RNG_VERSION, as_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,6 +111,13 @@ def _manifest(args, started: float, provenance=None):
     print(f"manifest={line}")
 
 
+def _draw_provenance(replicates: int, seed) -> dict:
+    """The provenance keys of a stored value (``_store.provenance``), for draws not stored."""
+    base = as_seed(seed)
+    return {"replicates": replicates, "seed": base.seed, "stream_id": base.stream_id,
+            "rng_version": RNG_VERSION}
+
+
 def _add_common(sub, seed=False, threads=False):
     # Usage errors found after parsing print this subcommand's usage line.
     sub.set_defaults(usage_error=sub.error)
@@ -174,10 +183,7 @@ def _cmd_detect_sim(args, fmt):
     if args.out:
         rows = [("H0", s) for s in summary.null_scores] + [("H1", s) for s in summary.alt_scores]
         _write_csv(args.out, ["hypothesis", "score"], rows, fmt)
-    streams = {"null": arw._NULL_STREAMS, "alternative": arw._ALT_STREAMS}
-    if args.critical is None:
-        streams["calibration"] = arw._CALIB_STREAMS
-    return {"seed": args.seed, "stream_ids": streams, "reps": args.reps,
+    return {"seed": args.seed, "stream_ids": summary.stream_ids, "reps": args.reps,
             "rng_version": RNG_VERSION,
             "critical_source": "simulated" if args.critical is None else "given"}
 
@@ -191,6 +197,7 @@ def _cmd_permtest(args, fmt):
     if args.out:
         _write_csv(args.out, ["shuffle", "score"],
                    list(enumerate(res.shuffle_scores, start=1)), fmt)
+    return _draw_provenance(args.shuffles, args.seed)
 
 
 def _cmd_select(args, fmt):
@@ -226,10 +233,8 @@ def _cmd_evaluate(args, fmt):
     _emit([("error_rate", res.error_rate), ("n_test", matrix.n),
            ("ties", res.tie_count), ("hct_index", model.hct_index)], fmt)
     if args.out:
-        scores = hct.decision_scores(model, matrix.data)
-        norm = scores / np.sqrt(model.hct_index)
-        rows = [(i + 1, int(matrix.labels[i]), int(res.predictions[i]), scores[i], norm[i])
-                for i in range(matrix.n)]
+        rows = [(i + 1, int(matrix.labels[i]), int(res.predictions[i]), res.scores[i],
+                 res.normalized_scores[i]) for i in range(matrix.n)]
         _write_csv(args.out, ["index", "label", "prediction", "score", "normalized_score"],
                    rows, fmt)
 
@@ -269,7 +274,7 @@ def _cmd_pairs(args, fmt):
                ("epsilon", args.epsilon), ("tau", args.tau), ("rho", args.rho)], fmt)
         if args.out:
             _write_csv(args.out, ["rep", "score"], list(enumerate(scores, start=1)), fmt)
-        return
+        return _draw_provenance(args.reps, args.seed)
     x, y = ingest_pairs(args.input)
     ranked = pairhc.RankedPairs.from_data(x, y)
     res = pairhc.pair_hc_star(ranked, args.alpha0)

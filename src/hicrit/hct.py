@@ -236,28 +236,33 @@ def predict(model: HctModel, sample) -> int:
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """Per-row predictions and scores in test-set row order, and the scores by class."""
+
     error_rate: float
     predictions: np.ndarray
+    scores: np.ndarray
+    normalized_scores: np.ndarray
     scores_by_class: dict
     normalized_scores_by_class: dict
     tie_count: int
 
 
 def evaluate(model: HctModel, test_set: LabeledMatrix) -> EvaluationResult:
-    """Misclassification rate plus per-class score samples.
+    """Misclassification rate plus per-row and per-class scores.
 
-    Scores are reported raw and normalized by 1/sqrt(hct_index), the common
+    Scores are reported raw and divided by sqrt(hct_index), the common
     rescaling that makes the two class histograms comparable across models.
     """
     scores = decision_scores(model, test_set.data)
     preds = np.where(scores >= 0.0, 1, -1)
-    norm = 1.0 / math.sqrt(model.hct_index) if model.hct_index > 0 else 1.0
-    by_class = {lab: scores[test_set.labels == lab] for lab in (1, -1)}
+    norm = scores / math.sqrt(model.hct_index)
     return EvaluationResult(
         error_rate=float(np.mean(preds != test_set.labels)),
         predictions=preds,
-        scores_by_class=by_class,
-        normalized_scores_by_class={k: v * norm for k, v in by_class.items()},
+        scores=scores,
+        normalized_scores=norm,
+        scores_by_class={lab: scores[test_set.labels == lab] for lab in (1, -1)},
+        normalized_scores_by_class={lab: norm[test_set.labels == lab] for lab in (1, -1)},
         tie_count=int(np.sum(scores == 0.0)),
     )
 
@@ -326,6 +331,11 @@ def load_model(path) -> HctModel:
         if np.shape(model[name]) != (p,):
             raise InvalidInputError(
                 f"{path}: {name} must hold p = {p} entries, got shape {np.shape(model[name])}")
+    # json.load accepts NaN and Infinity; such a model scores nothing meaningful.
+    if not np.all(np.isfinite(model["feature_means"])):
+        raise InvalidInputError(f"{path}: feature_means must all be finite")
+    if not np.all((model["feature_sds"] > 0.0) & np.isfinite(model["feature_sds"])):
+        raise InvalidInputError(f"{path}: feature_sds must all be finite and positive")
     dense = np.zeros(p, dtype=np.int8)
     for j, w in weights.items():
         if not 0 <= j < p:

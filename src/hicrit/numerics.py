@@ -36,8 +36,9 @@ class RngSeed:
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
             raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if int(self.stream_id) < 0:
-            raise InvalidInputError(f"stream_id must be non-negative, got {self.stream_id}")
+        if not (0 <= int(self.stream_id) < 2**64):
+            raise InvalidInputError(
+                f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         # 128-bit Philox key: low word = seed, high word = stream_id.
@@ -63,12 +64,10 @@ def as_seed(seed) -> RngSeed:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, RngSeed, or Generator into a Generator."""
+    """A Generator as it is; an int seed or RngSeed through as_seed."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
-    return RngSeed(int(seed)).generator()
+    return as_seed(seed).generator()
 
 
 def _elementwise(fn, x):

@@ -18,7 +18,7 @@ import numpy as np
 from . import _streams
 from .errors import InvalidInputError
 from .hc_core import HcResult, _check_mixture, _first_max, _floor_index
-from .numerics import RngSeed, as_generator
+from .numerics import RngSeed, as_generator, as_seed
 
 __all__ = [
     "RankedPairs",
@@ -186,12 +186,14 @@ def _simulation_batch(params, b: int, rng) -> np.ndarray:
 
 
 def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: int,
-                         seed: int, alpha0: float = 0.5) -> np.ndarray:
+                         seed: int | RngSeed, alpha0: float = 0.5) -> np.ndarray:
     """pair_hc_star scores of ``reps`` mixture samples of n pairs.
 
-    Replicate k is drawn from its own Philox stream RngSeed(seed, k). Refuses
-    what sample_bivariate_mixture refuses, alpha0 outside (0, 1] and an empty
-    corner range before any draw.
+    ``seed`` is an int or an RngSeed; with base = as_seed(seed), replicate k
+    is drawn from its own Philox stream base.stream_id + k, so an int seed s
+    draws RngSeed(s, k). Refuses what sample_bivariate_mixture refuses,
+    alpha0 outside (0, 1], an empty corner range and a Generator seed before
+    any draw.
     """
     if n < 2:
         raise InvalidInputError(f"need at least 2 pairs, got n={n}")
@@ -201,4 +203,4 @@ def simulate_pair_scores(n: int, epsilon: float, tau: float, rho: float, reps: i
     _floor_index(alpha0, n)
     _corner_range(n, alpha0, _MIN_EXPECTED)
     return _streams.run(_simulation_batch, (n, epsilon, tau, rho, alpha0), reps, 1, 2 * n,
-                        RngSeed(seed), 1)
+                        as_seed(seed), 1)

@@ -248,7 +248,8 @@ def test_criterion_11_null_size_suite():
 
     cal = simulate_null_scores(5000, "plus", 0.5, 20_000, seed=910)
     thr = empirical_quantile(cal, 0.05)
-    fresh = _streams.run(*_mixture_job(5000, 0.0, 0.0, "plus", 0.5, 2000, 911, _NULL_STREAMS), 1)
+    fresh = _streams.run(*_mixture_job(5000, 0.0, 0.0, "plus", 0.5, 2000,
+                                       RngSeed(911, _NULL_STREAMS)), 1)
     sizes["hc_plus"] = float(np.mean(fresh > thr))
 
     def clique_null(seed, reps):

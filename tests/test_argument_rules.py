@@ -10,10 +10,10 @@ from hicrit import _streams
 from hicrit.arw import ArwParams, detection_experiment, permutation_test, sample_mixture
 from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, empirical_quantile,
                               gumbel_critical, level_alpha_test, resolve_critical,
-                              simulate_null_scores)
+                              simulate_critical, simulate_null_scores)
 from hicrit.cli import dispatch
-from hicrit.covtest import (EigenNullProfile, eigen_hc_test, eigen_null_profile_cached,
-                            make_spiked_sigma, save_profile)
+from hicrit.covtest import (EigenNullProfile, eigen_hc_test, eigen_null_profile,
+                            eigen_null_profile_cached, make_spiked_sigma, save_profile)
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import (PValueSeries, avg_likelihood_ratio, empirical_cdf_on_grid,
                             gof_empirical, gof_theoretical, hc_at_level, hc_plus,
@@ -188,6 +188,24 @@ def test_replicate_rule_exit_code_does_not_depend_on_the_cache(stored, tmp_path,
                       "--threads", "1", "--profile-cache", cache]):
             assert dispatch(argv) == 3, (argv, cache)
             assert "need replicates >= 100" in capsys.readouterr().err
+
+
+SEED_ENTRY_POINTS = {
+    "simulate_null_scores": lambda s: simulate_null_scores(40, "plus", 0.5, 10, s),
+    "simulate_critical": lambda s: simulate_critical(40, 0.05, "plus", 0.5, 100, s),
+    "detection_experiment": lambda s: detection_experiment(100, 10, seed=s, epsilon=0.1,
+                                                           tau=1.0, critical=3.0),
+    "permutation_test": lambda s: permutation_test(MATRIX, 5, s),
+    "eigen_null_profile": lambda s: eigen_null_profile(6, 4, 100, s),
+    "simulate_pair_scores": lambda s: simulate_pair_scores(40, 0.1, 1.0, 0.0, 3, s),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_seed_rule(entry):
+    # Every Monte Carlo entry point reads its seed through numerics.as_seed.
+    with pytest.raises(InvalidInputError, match="not a Generator"):
+        SEED_ENTRY_POINTS[entry](np.random.default_rng(0))
 
 
 def test_simulate_pair_scores_checks_alpha0_before_drawing():

@@ -9,8 +9,8 @@ from scipy.special import ndtr
 from hicrit import _streams
 from hicrit.arw import (ArwParams, STREAM_BLOCK, detection_experiment, permutation_pvalue,
                         permutation_test, pvalues_one_sided, pvalues_two_sided,
-                        sample_mixture, _mixture_batch, _mixture_job, _CALIB_STREAMS,
-                        _NULL_STREAMS)
+                        sample_mixture, _mixture_batch, _mixture_job, _ALT_STREAMS,
+                        _CALIB_STREAMS, _NULL_STREAMS)
 from hicrit.calibrate import simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import _index_range, hc_scores_sorted_batch
@@ -76,8 +76,8 @@ def test_normal_null_matches_uniform_null():
     # (two-sample KS over 1000 scores each).
     normal_scores = _streams.run(mixture_batch_v1, (500, 0.0, 0.0, "star", 0.5), 1000,
                                  STREAM_BLOCK, 500, RngSeed(13), 1)
-    null_scores = _streams.run(*_mixture_job(500, 0.0, 0.0, "star", 0.5, 1000, 14,
-                                             _NULL_STREAMS), 1)
+    null_scores = _streams.run(*_mixture_job(500, 0.0, 0.0, "star", 0.5, 1000,
+                                             RngSeed(14, _NULL_STREAMS)), 1)
     assert ks_2samp(normal_scores, null_scores).statistic <= 0.08
 
 
@@ -233,6 +233,23 @@ def test_detection_streams_are_the_calibrate_streams():
     assert summary.critical == entry.quantile
     null = simulate_null_scores(500, "star", 0.5, 600, RngSeed(44, _NULL_STREAMS))
     np.testing.assert_array_equal(summary.null_scores, null)
+
+
+def test_detection_streams_are_offset_from_the_seed_stream():
+    # An RngSeed's stream is the base of the experiment's three job streams,
+    # as it is for every other Monte Carlo entry point.
+    kw = dict(epsilon=0.05, tau=2.0, calibration_reps=200)
+    summary = detection_experiment(1000, 50, seed=RngSeed(5, 7), **kw)
+    null = simulate_null_scores(1000, "plus", 0.5, 50, RngSeed(5, 7 + _NULL_STREAMS))
+    np.testing.assert_array_equal(summary.null_scores, null)
+    entry = simulate_critical(1000, 0.05, "plus", 0.5, 200, RngSeed(5, 7 + _CALIB_STREAMS))
+    assert summary.critical == entry.quantile
+    assert summary.stream_ids == {"null": 7 + _NULL_STREAMS, "alternative": 7 + _ALT_STREAMS,
+                                  "calibration": 7 + _CALIB_STREAMS}
+    other = detection_experiment(1000, 50, seed=RngSeed(5, 8), **kw)
+    assert not np.array_equal(summary.alt_scores, other.alt_scores)
+    given = detection_experiment(1000, 50, seed=RngSeed(5, 7), critical=3.0, **kw)
+    assert given.stream_ids == {"null": 7 + _NULL_STREAMS, "alternative": 7 + _ALT_STREAMS}
 
 
 def test_clamp_ties_straddle_the_window():

@@ -630,3 +630,60 @@ def test_unwritable_manifest_exits_3_without_a_traceback(subcommand, target, pva
     assert any(line.startswith("error: ") and manifest in line
                for line in done.stderr.splitlines()), done.stderr
     assert "manifest=" not in done.stdout
+
+
+@pytest.mark.parametrize("field, value", [("feature_sds", 0.0), ("feature_sds", float("nan")),
+                                          ("feature_means", float("inf")),
+                                          ("feature_sds", -1.0)],
+                         ids=["sds-zero", "sds-nan", "means-inf", "sds-negative"])
+def test_model_that_cannot_score_exits_3(field, value, labeled_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(capsys, "select", "--train", labeled_file, "--out", str(model))[0] == 0
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps(dict(doc, **{field: [value] * doc["p"]})))  # NaN, Infinity
+    for argv in (("classify",), ("evaluate",)):
+        code, out, err = run(capsys, *argv, "--model", str(model), "--test", labeled_file)
+        assert code == 3, (argv, err)
+        assert err.startswith("error: ") and str(model) in err and field in err
+        assert "manifest=" not in out
+
+
+@pytest.mark.parametrize("where", ["simulate_if_missing", "cache_only", "gumbel_fallback",
+                                   "HICRIT_CACHE", "cov-eigen"])
+def test_cache_in_a_missing_directory_exits_3_before_any_draw(where, tmp_path, capsys,
+                                                              monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the cache path was refused")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    missing = tmp_path / "missing"
+    cache = str(missing / "c.jsonl")
+    calibrate = ["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200", "--seed", "1",
+                 "--threads", "1"]
+    if where == "HICRIT_CACHE":
+        monkeypatch.setenv("HICRIT_CACHE", str(missing))
+        argv, cache = calibrate, str(missing / "cache.jsonl")
+    elif where == "cov-eigen":
+        data = tmp_path / "m.csv"
+        data.write_text("a,b,c\n" + "\n".join(f"{i},{i * i % 7},{i % 3}" for i in range(8)))
+        argv = ["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed", "1",
+                "--threads", "1", "--profile-cache", cache]
+    else:
+        argv = calibrate + ["--policy", where, "--cache", cache]
+    code, out, err = run(capsys, *argv)
+    assert code == 3, err
+    assert err.startswith("error: ") and cache in err
+    assert out == ""
+    assert not missing.exists()
+
+
+def test_permtest_and_pairs_simulate_manifests_name_their_streams(labeled_file, capsys):
+    code, out, _ = run(capsys, "permtest", "--input", labeled_file, "--shuffles", "19",
+                       "--seed", "2")
+    assert code == 0
+    assert manifest_of(out)["provenance"] == {"replicates": 19, "seed": 2, "stream_id": 0,
+                                              "rng_version": RNG_VERSION}
+    code, out, _ = run(capsys, "pairs", "--simulate", "--n", "60", "--reps", "4", "--seed", "6")
+    assert code == 0
+    assert manifest_of(out)["provenance"] == {"replicates": 4, "seed": 6, "stream_id": 0,
+                                              "rng_version": RNG_VERSION}

@@ -143,14 +143,22 @@ def test_sample_at_training_means_scores_zero():
 
 
 def test_evaluate_separated_training_data():
-    rng = np.random.default_rng(6)
-    matrix = synthetic_matrix(rng, n=20, p=50, shift=8.0, n_signal=10)
-    model = train(matrix)
-    res = evaluate(model, matrix)
-    assert res.error_rate == 0.0
-    assert set(res.scores_by_class) == {1, -1}
-    np.testing.assert_allclose(res.normalized_scores_by_class[1],
-                               res.scores_by_class[1] / math.sqrt(model.hct_index))
+    # At hct_index 20, x * (1/sqrt(20)) and x / sqrt(20) differ in the last bit
+    # for some scores; at 4 they agree.
+    for n, p, shift, n_signal, hct_index in ((20, 50, 8.0, 10, 4), (100, 300, 3.0, 20, 20)):
+        rng = np.random.default_rng(6)
+        matrix = synthetic_matrix(rng, n=n, p=p, shift=shift, n_signal=n_signal)
+        model = train(matrix)
+        assert model.hct_index == hct_index
+        res = evaluate(model, matrix)
+        assert res.error_rate == 0.0
+        assert set(res.scores_by_class) == {1, -1}
+        np.testing.assert_array_equal(res.scores, decision_scores(model, matrix.data))
+        np.testing.assert_array_equal(res.normalized_scores,
+                                      res.scores / math.sqrt(hct_index))
+        for lab in (1, -1):
+            np.testing.assert_array_equal(res.normalized_scores_by_class[lab],
+                                          res.scores_by_class[lab] / math.sqrt(hct_index))
 
 
 def test_evaluate_null_data_random_labels():

@@ -5,6 +5,9 @@ import pytest
 
 from scipy import special
 
+from hicrit import _streams
+from hicrit.arw import detection_experiment
+from hicrit.calibrate import simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.numerics import (RngSeed, as_generator, binomial_kl, binomial_kl_array,
                              clamp_pvalues, std_normal_cdf, std_normal_quantile,
@@ -131,6 +134,24 @@ def test_rng_seed_validation():
         RngSeed(0, -2)
     gen = as_generator(9)
     assert isinstance(gen, np.random.Generator)
+
+
+def test_rng_seed_stream_id_fits_the_philox_key(monkeypatch):
+    # generator() puts the stream id in the high 64 bits of a 128-bit key.
+    with pytest.raises(InvalidInputError, match="stream_id"):
+        RngSeed(1, 2**64)
+    RngSeed(1, 2**64 - 1).generator()
+
+    def refuse(*args):
+        raise AssertionError("drew a block before refusing the run")
+
+    # Every block's RngSeed is built before the first block is drawn.
+    monkeypatch.setattr(_streams, "_run_stream", refuse)
+    with pytest.raises(InvalidInputError, match="stream_id"):
+        simulate_null_scores(100, "plus", 0.5, 600, RngSeed(1, 2**64 - 1))
+    with pytest.raises(InvalidInputError, match="stream_id"):
+        detection_experiment(100, 10, epsilon=0.1, tau=1.0, critical=3.0,
+                             seed=RngSeed(1, 2**64 - 1))
 
 
 def test_clamp_pvalues():

@@ -180,6 +180,11 @@ def test_paper_settings_preset():
         assert x.size == 50 and y.size == 50
 
 
+def test_simulated_scores_are_offset_from_the_seed_stream():
+    got = simulate_pair_scores(60, 0.05, 2.0, 0.5, 5, RngSeed(1, 3))
+    np.testing.assert_array_equal(got, simulate_pair_scores(60, 0.05, 2.0, 0.5, 8, 1)[3:])
+
+
 def test_simulated_scores_use_one_stream_per_replicate():
     for n, eps, tau, rho, alpha0 in ((200, 0.05, 1.0, 0.25, 0.5), (60, 0.0, 0.0, 0.0, 0.3)):
         want = []
