@@ -10,7 +10,7 @@ import os
 import re
 
 from .errors import ValidationError
-from .numerics import RNG_VERSION
+from .numerics import RNG_VERSION, RngSeed, as_seed
 
 _TYPES = dict(kind=str, params=dict, replicates=int, seed=int, stream_id=int, rng_version=str)
 # How ``append`` starts a line (sort_keys puts "kind" first); a kind name cut short
@@ -18,10 +18,11 @@ _TYPES = dict(kind=str, params=dict, replicates=int, seed=int, stream_id=int, rn
 _KIND = re.compile(rb'\{"kind": "(\w+)", ')
 
 
-def provenance(stored) -> dict:
-    """Replicates, seed, stream and RNG version of an entry or profile."""
-    return {"replicates": int(stored.replicates), "seed": int(stored.seed.seed),
-            "stream_id": int(stored.seed.stream_id), "rng_version": stored.rng_version}
+def provenance(replicates: int, seed, rng_version: str = RNG_VERSION) -> dict:
+    """Provenance keys of a simulated value, stored or not; ``seed`` goes through as_seed."""
+    base = as_seed(seed)
+    return {"replicates": int(replicates), "seed": int(base.seed),
+            "stream_id": int(base.stream_id), "rng_version": rng_version}
 
 
 def _parse(path, data: bytes, kind: str) -> list[tuple[int, dict]]:
@@ -47,10 +48,11 @@ def _parse(path, data: bytes, kind: str) -> list[tuple[int, dict]]:
 
 
 def read(path, kind: str, make) -> list:
-    """``make(record)`` per record of ``kind`` in file order, read without a lock; a
-    missing file in an existing directory is empty, a missing directory raises
-    FileNotFoundError. ``make`` raising KeyError, TypeError or ValueError marks a
-    malformed record."""
+    """``make(params, value, replicates=, seed=, rng_version=)`` per record of ``kind``
+    in file order, ``seed`` decoded as an RngSeed, read without a lock; a missing file
+    in an existing directory is empty, a missing directory raises FileNotFoundError.
+    A seed out of range, or ``make`` raising KeyError, TypeError or ValueError, marks
+    a malformed record."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -62,7 +64,9 @@ def read(path, kind: str, make) -> list:
     for line, rec in _parse(path, data, kind):
         try:
             if rec["kind"] == kind:
-                out.append(make(rec))
+                out.append(make(rec["params"], rec["value"], replicates=rec["replicates"],
+                                seed=RngSeed(rec["seed"], rec["stream_id"]),
+                                rng_version=rec["rng_version"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed {kind} record: {exc}", row=line) from None
     return out
@@ -72,7 +76,8 @@ def append(path, kind: str, params: dict, stored, value) -> None:
     """Store one line unless a record of the same identity (all but ``value``) is
     stored. The exclusive flock makes check and write one step across processes;
     a fragment left by a writer that died mid-line is cut off first."""
-    identity = {"kind": kind, "params": params, **provenance(stored)}
+    identity = {"kind": kind, "params": params,
+                **provenance(stored.replicates, stored.seed, stored.rng_version)}
     line = (json.dumps({**identity, "value": value}, sort_keys=True) + "\n").encode()
     with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)

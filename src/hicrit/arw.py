@@ -9,7 +9,8 @@ at all: a Binomial(N, epsilon) count of nonnulls, Renyi's representation for
 the smallest null P-values, and ndtr on the nonnulls alone. The experiment's
 null, alternative and calibration streams share one stream-runner pool. A
 permutation scheme (independent row shuffles per column, on the stream
-runner) supplies P-values for HC scores on real labeled matrices.
+runner) supplies P-values for HC scores on real labeled matrices; a shuffle
+whose feature scores are degenerate scores +inf.
 
 Seeds: each Monte Carlo entry point takes an int or an RngSeed and reads it once
 through ``numerics.as_seed`` as ``base`` (an int seed is stream 0); block k of a
@@ -33,6 +34,7 @@ from .hc_core import (PValueSeries, _check_level, _check_mixture, _check_replica
                       _check_variant, _index_range, empirical_quantile, hc_plus,
                       hc_scores_sorted_batch, hc_star)
 from .numerics import MIN_PVALUE, RngSeed, as_generator, as_seed, clamp_pvalues
+from .phase import PhasePoint
 
 __all__ = [
     "ArwParams",
@@ -61,7 +63,7 @@ _CALIB_STREAMS = 1 << 21
 class ArwParams:
     """Asymptotic rare/weak calibration: epsilon = N^-vartheta, tau = sqrt(2 r log N).
 
-    Refuses N < 1, vartheta outside (0, 1) and an r that is not positive (NaN too).
+    Refuses N < 1, and through PhasePoint vartheta outside (0, 1) and r <= 0 or NaN.
     """
 
     N: int
@@ -71,10 +73,7 @@ class ArwParams:
     def __post_init__(self):
         if self.N < 1:
             raise InvalidInputError(f"N must be positive, got {self.N}")
-        if not 0.0 < self.vartheta < 1.0:
-            raise InvalidInputError(f"vartheta must lie in (0, 1), got {self.vartheta}")
-        if not self.r > 0.0:
-            raise InvalidInputError(f"r must be positive, got {self.r}")
+        PhasePoint(self.vartheta, self.r)
 
     @property
     def epsilon(self) -> float:
@@ -294,7 +293,12 @@ def _shuffle_batch(params, b: int, rng) -> np.ndarray:
         perm = np.argsort(rng.random(data.shape), axis=0)
         shuffled = hct.LabeledMatrix(np.take_along_axis(data, perm, axis=0),
                                      matrix.labels, matrix.feature_names)
-        scores[j] = _matrix_hc_score(shuffled, variant, alpha0)
+        try:
+            scores[j] = _matrix_hc_score(shuffled, variant, alpha0)
+        except InvalidInputError:
+            # A shuffle keeps the labels and values the original passed with, so only
+            # the zero pooled variance and zero spread rules can refuse it.
+            scores[j] = np.inf
     return scores
 
 
@@ -305,7 +309,11 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     Each shuffle permutes the rows of every column independently, washing out
     any label-feature alignment; the standardized Z-scores and the HC score
     are recomputed per shuffle. The returned P-value is the add-one estimator
-    (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0.
+    (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0. A
+    shuffle that leaves some feature with zero pooled within-class variance, or
+    the feature scores with zero spread, has no score and counts as +inf, at
+    least as extreme as the original, so the P-value stays conservative; the
+    original matrix itself is refused in that case.
     Shuffles run on the stream runner in this process, one stream per
     STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed. A variant other
     than 'star' or 'plus' is refused before any shuffle.

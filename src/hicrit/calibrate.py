@@ -101,12 +101,9 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
 # ---------------------------------------------------------------------------
 # Cache: "critical_value" records in the shared record store.
 
-def _entry(rec) -> CriticalValueEntry:
-    prm = rec["params"]
+def _entry(prm, value, **provenance) -> CriticalValueEntry:
     return CriticalValueEntry(int(prm["N"]), float(prm["alpha"]), prm["variant"],
-                              float(prm["alpha0"]), rec["replicates"],
-                              RngSeed(rec["seed"], rec["stream_id"]), float(rec["value"]),
-                              rec["rng_version"])
+                              float(prm["alpha0"]), quantile=float(value), **provenance)
 
 
 def load_cache(path) -> list[CriticalValueEntry]:

@@ -14,7 +14,8 @@ Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
 unusable file, an unwritable --manifest path too, and a cache path in a
 missing directory, refused before any draw; 4 cache miss under the cache_only
-policy.
+policy; 141 (128 + SIGPIPE, what a shell reports for a writer killed by
+SIGPIPE) when the reader closed stdout early, with no error line.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
 from .hc_core import (_floor_index, avg_likelihood_ratio, berk_jones, hc_components, hc_plus,
                       hc_star)
-from .numerics import RNG_VERSION, as_seed
+from .numerics import RNG_VERSION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CACHE_MISS = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _default_cache():
@@ -111,13 +113,6 @@ def _manifest(args, started: float, provenance=None):
     print(f"manifest={line}")
 
 
-def _draw_provenance(replicates: int, seed) -> dict:
-    """The provenance keys of a stored value (``_store.provenance``), for draws not stored."""
-    base = as_seed(seed)
-    return {"replicates": replicates, "seed": base.seed, "stream_id": base.stream_id,
-            "rng_version": RNG_VERSION}
-
-
 def _add_common(sub, seed=False, threads=False):
     # Usage errors found after parsing print this subcommand's usage line.
     sub.set_defaults(usage_error=sub.error)
@@ -166,7 +161,9 @@ def _cmd_calibrate(args, fmt):
     if entry is not None:
         fields.append(("replicates", entry.replicates))
     _emit(fields, fmt)
-    return {"source": source, **(_store.provenance(entry) if entry is not None else {})}
+    if entry is None:
+        return {"source": source}
+    return {"source": source, **_store.provenance(entry.replicates, entry.seed, entry.rng_version)}
 
 
 def _cmd_detect_sim(args, fmt):
@@ -197,7 +194,7 @@ def _cmd_permtest(args, fmt):
     if args.out:
         _write_csv(args.out, ["shuffle", "score"],
                    list(enumerate(res.shuffle_scores, start=1)), fmt)
-    return _draw_provenance(args.shuffles, args.seed)
+    return _store.provenance(args.shuffles, args.seed)
 
 
 def _cmd_select(args, fmt):
@@ -262,7 +259,7 @@ def _cmd_cov_eigen(args, fmt):
     if args.trace:
         rows = [(i + 1, res.components[i]) for i in range(res.components.size)]
         _write_csv(args.trace, ["rank", "component"], rows, fmt)
-    return _store.provenance(profile)
+    return _store.provenance(profile.replicates, profile.seed, profile.rng_version)
 
 
 def _cmd_pairs(args, fmt):
@@ -274,7 +271,7 @@ def _cmd_pairs(args, fmt):
                ("epsilon", args.epsilon), ("tau", args.tau), ("rho", args.rho)], fmt)
         if args.out:
             _write_csv(args.out, ["rep", "score"], list(enumerate(scores, start=1)), fmt)
-        return _draw_provenance(args.reps, args.seed)
+        return _store.provenance(args.reps, args.seed)
     x, y = ingest_pairs(args.input)
     ranked = pairhc.RankedPairs.from_data(x, y)
     res = pairhc.pair_hc_star(ranked, args.alpha0)
@@ -438,6 +435,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (HicritError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS if isinstance(exc, CacheMissError) else EXIT_VALIDATION
@@ -445,7 +444,16 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # The interpreter flushes stdout again at exit; pointing fd 1 at devnull keeps
+        # that flush from failing too (the note on SIGPIPE in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -83,6 +83,8 @@ def correlation_summary(X, center: bool = True) -> CorrelationSummary:
 
 
 def _rho_to_t(rho, n: int):
+    if n < 3:
+        raise InvalidInputError(f"need n >= 3, got {n}")
     rho = np.clip(np.asarray(rho, dtype=float), -1.0 + _RHO_EPS, 1.0 - _RHO_EPS)
     return math.sqrt(n - 1.0) * rho / np.sqrt(1.0 - rho * rho)
 
@@ -95,8 +97,6 @@ def pairwise_pvalue(rho, n: int, side: str = "two"):
     of negative correlations. |rho| = 1 is clamped to the open interval
     before the transform.
     """
-    if n < 3:
-        raise InvalidInputError(f"need n >= 3, got {n}")
     if side not in ("upper", "two"):
         raise InvalidInputError(f"side must be 'upper' or 'two', got {side!r}")
     scalar = np.isscalar(rho)
@@ -107,8 +107,6 @@ def pairwise_pvalue(rho, n: int, side: str = "two"):
 
 
 def _rowmax_t(rho, n: int, p: int):
-    if n < 3:
-        raise InvalidInputError(f"need n >= 3, got {n}")
     if p < 2:
         raise InvalidInputError(f"need p >= 2, got {p}")
     return _rho_to_t(rho, n)
@@ -279,13 +277,12 @@ def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Profile cache: "eigen_profile" records in the shared record store.
 
-def _profile(rec) -> EigenNullProfile:
-    n, p = int(rec["params"]["n"]), int(rec["params"]["p"])
-    means, sds = (np.array(rec["value"][k], dtype=float) for k in ("means", "sds"))
+def _profile(prm, value, **provenance) -> EigenNullProfile:
+    n, p = int(prm["n"]), int(prm["p"])
+    means, sds = (np.array(value[k], dtype=float) for k in ("means", "sds"))
     if not means.shape == sds.shape == (min(n, p),):
         raise ValueError(f"expected {min(n, p)} means and sds")
-    return EigenNullProfile(n, p, means, sds, rec["replicates"],
-                            RngSeed(rec["seed"], rec["stream_id"]), rec["rng_version"])
+    return EigenNullProfile(n, p, means, sds, **provenance)
 
 
 def save_profile(path, profile: EigenNullProfile) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InvalidInputError
-from .numerics import binomial_kl_array
+from .numerics import _freeze, binomial_kl_array
 
 __all__ = [
     "PValueSeries",
@@ -58,9 +58,7 @@ class PValueSeries:
             raise InvalidInputError("P-values must lie in (0, 1]")
         if np.any(np.diff(v) < 0.0):
             raise InvalidInputError("P-values must be sorted ascending; use from_unsorted()")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _freeze(self, values=v)
 
     @classmethod
     def from_unsorted(cls, values) -> "PValueSeries":

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from .errors import InvalidInputError
 from .hc_core import PValueSeries, _first_max, _floor_index, bh_fdr_select, hc_feature_scores
-from .numerics import clamp_pvalues
+from .numerics import _freeze, clamp_pvalues
 
 __all__ = [
     "LabeledMatrix",
@@ -70,12 +70,7 @@ class LabeledMatrix:
         if len(names) != data.shape[1]:
             raise InvalidInputError(
                 f"expected {data.shape[1]} feature names, got {len(names)}")
-        data = data.copy()
-        data.flags.writeable = False
-        labels = labels.copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", labels)
+        _freeze(self, data=data, labels=labels)
         object.__setattr__(self, "feature_names", names)
 
     @property

@@ -70,6 +70,14 @@ def as_generator(seed) -> np.random.Generator:
     return as_seed(seed).generator()
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set each named field of a frozen dataclass to a read-only copy of its array."""
+    for name, arr in arrays.items():
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def _elementwise(fn, x):
     """fn over x as a float array; a float when x is a scalar. Refuses NaN and inf."""
     scalar = np.isscalar(x)

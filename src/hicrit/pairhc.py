@@ -18,7 +18,7 @@ import numpy as np
 from . import _streams
 from .errors import InvalidInputError
 from .hc_core import HcResult, _check_mixture, _first_max, _floor_index
-from .numerics import RngSeed, as_generator, as_seed
+from .numerics import RngSeed, _freeze, as_generator, as_seed
 
 __all__ = [
     "RankedPairs",
@@ -65,12 +65,7 @@ class RankedPairs:
         expected = np.arange(1, n + 1)
         if not (np.array_equal(np.sort(rx), expected) and np.array_equal(np.sort(ry), expected)):
             raise InvalidInputError("each rank vector must be a permutation of 1..n")
-        rx = rx.copy()
-        rx.flags.writeable = False
-        ry = ry.copy()
-        ry.flags.writeable = False
-        object.__setattr__(self, "ranks_x", rx)
-        object.__setattr__(self, "ranks_y", ry)
+        _freeze(self, ranks_x=rx, ranks_y=ry)
 
     @classmethod
     def from_data(cls, x, y) -> "RankedPairs":

@@ -40,8 +40,8 @@ _TOL = 1e-12
 class PhasePoint:
     """A point in the (vartheta, r) plane; theta = 0 means pure detection.
 
-    Refuses vartheta outside (0, 1), an r that is not positive (NaN too) and
-    theta outside [0, 1).
+    Refuses theta and vartheta outside classification_boundary's domain, and
+    an r that is not positive (NaN too).
     """
 
     vartheta: float
@@ -49,15 +49,9 @@ class PhasePoint:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.vartheta < 1.0:
-            raise InvalidInputError(f"vartheta must lie in (0, 1), got {self.vartheta}")
+        classification_boundary(self.vartheta, self.theta)
         if not self.r > 0.0:
             raise InvalidInputError(f"r must be positive, got {self.r}")
-        if not 0.0 <= self.theta < 1.0:
-            raise InvalidInputError(f"theta must lie in [0, 1), got {self.theta}")
-        if self.theta > 0.0 and not self.vartheta < 1.0 - self.theta:
-            raise InvalidInputError(
-                f"classification points need vartheta < 1 - theta = {1.0 - self.theta}")
 
 
 def detection_boundary(vartheta: float, extended: bool = False) -> float:
@@ -79,13 +73,16 @@ def detection_boundary(vartheta: float, extended: bool = False) -> float:
 
 
 def classification_boundary(vartheta: float, theta: float) -> float:
-    """Classification boundary rho_theta(vartheta) = (1-theta) rho(vartheta/(1-theta))."""
+    """Classification boundary rho_theta(vartheta) = (1-theta) rho(vartheta/(1-theta)).
+
+    Refuses theta outside [0, 1) and vartheta outside (0, 1 - theta).
+    """
     v = float(vartheta)
     t = float(theta)
     if not 0.0 <= t < 1.0:
         raise InvalidInputError(f"theta must lie in [0, 1), got {t}")
     if not 0.0 < v < 1.0 - t:
-        raise InvalidInputError(f"vartheta must lie in (0, {1.0 - t}), got {v}")
+        raise InvalidInputError(f"vartheta must lie in (0, {1.0 - t:.15g}), got {v}")
     return (1.0 - t) * detection_boundary(v / (1.0 - t), extended=True)
 
 
@@ -109,8 +106,7 @@ def ideal_fdr(vartheta: float, r: float, theta: float = 0.0) -> IdealFdr:
     """
     v = float(vartheta)
     rr = float(r)
-    if not rr > 0.0:
-        raise InvalidInputError(f"r must be positive, got {rr}")
+    PhasePoint(v, rr, theta)
     rho_t = classification_boundary(v, theta)
     if rr <= rho_t + _TOL:
         raise FailureRegionError(
@@ -159,16 +155,14 @@ def boundary_table(theta: float, grid_size: int, r: Optional[float] = None) -> l
     failure region, the phase column reads "failure" and the value is None;
     an r that is not positive (NaN too) is refused.
     """
-    if not 0.0 <= theta < 1.0:
-        raise InvalidInputError(f"theta must lie in [0, 1), got {theta}")
     if grid_size < 1:
         raise InvalidInputError(f"grid_size must be positive, got {grid_size}")
     width = 1.0 - theta
     rows = []
     for i in range(1, grid_size + 1):
         v = width * i / (grid_size + 1)
+        rho_t = classification_boundary(v, theta)  # first: it refuses a bad theta
         rho = detection_boundary(v, extended=True)
-        rho_t = classification_boundary(v, theta)
         if r is not None:
             try:  # an r that is not positive raises InvalidInputError, not caught here
                 fdr = ideal_fdr(v, r, theta)

@@ -358,6 +358,37 @@ def test_permutation_label_swap_invariance():
     np.testing.assert_array_equal(a.shuffle_scores, b.shuffle_scores)
 
 
+def _alternating_feature_matrix():
+    # 4 rows per class; g0 alternates 0, 1, so a shuffle putting the four 0s in one
+    # class leaves g0 constant within both classes (2 of the C(8, 4) = 70 column orders).
+    data = np.random.default_rng(0).standard_normal((8, 20))
+    data[:, 0] = np.tile([0.0, 1.0], 4)
+    return LabeledMatrix(data, np.repeat([1, -1], 4), [f"g{j}" for j in range(20)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permutation_shuffle_with_zero_pooled_variance_scores_inf(seed):
+    res = permutation_test(_alternating_feature_matrix(), shuffles=200, seed=seed)
+    scores = res.shuffle_scores
+    assert np.all(np.isfinite(scores) | (scores == np.inf))
+    assert np.any(scores == np.inf)
+    assert res.pvalue == (1 + int(np.sum(scores >= res.original_score))) / 201
+
+
+@pytest.mark.parametrize("variant", ["plus", "star"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permutation_result_is_invariant_to_negated_labels(seed, variant):
+    rng = np.random.default_rng(53)
+    data = rng.standard_normal((12, 30))
+    data[:6, :3] += 2.0
+    matrix = LabeledMatrix(data, np.repeat([1, -1], 6))
+    negated = LabeledMatrix(data, -matrix.labels)
+    a = permutation_test(matrix, shuffles=99, seed=seed, variant=variant)
+    b = permutation_test(negated, shuffles=99, seed=seed, variant=variant)
+    assert (a.pvalue, a.original_score) == (b.pvalue, b.original_score)
+    np.testing.assert_array_equal(a.shuffle_scores, b.shuffle_scores)
+
+
 def test_permutation_rejects_degenerate_matrix():
     labels = np.array([1, 1, -1, -1])
     data = np.ones((4, 3))

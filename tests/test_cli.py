@@ -687,3 +687,42 @@ def test_permtest_and_pairs_simulate_manifests_name_their_streams(labeled_file, 
     assert code == 0
     assert manifest_of(out)["provenance"] == {"replicates": 4, "seed": 6, "stream_id": 0,
                                               "rng_version": RNG_VERSION}
+
+
+@pytest.mark.parametrize("case", ["closed-after-one-line", "closed-before-any-write"])
+def test_closed_stdout_exits_141_without_an_error_line(case, pvals_file):
+    # Block-buffered stdout, as in a shell: a large table fails inside dispatch, a
+    # small one only at the final flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    cli = [sys.executable, "-m", "hicrit.cli"]
+    if case == "closed-after-one-line":
+        proc = subprocess.Popen([*cli, "phase", "--theta", "0.2", "--grid", "20000"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.readline()
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen([*cli, "score", "--input", pvals_file], env=env,
+                                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141, err
+    assert not any(s in err for s in ("error:", "Traceback", "Exception ignored")), err
+
+
+def test_permtest_survives_a_shuffle_with_zero_pooled_variance(tmp_path, capsys):
+    data = np.random.default_rng(0).standard_normal((8, 20))
+    data[:, 0] = np.tile([0.0, 1.0], 4)
+    labels = [1] * 4 + [-1] * 4
+    path = tmp_path / "alternating.csv"
+    header = "label," + ",".join(f"g{j}" for j in range(20))
+    rows = [f"{labels[i]}," + ",".join(repr(float(v)) for v in data[i]) for i in range(8)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    out_csv = tmp_path / "shuffles.csv"
+    code, out, err = run(capsys, "permtest", "--input", str(path), "--shuffles", "200",
+                         "--seed", "1", "--out", str(out_csv))
+    assert code == 0, err
+    scores = [row.split(",")[1] for row in out_csv.read_text().splitlines()[1:]]
+    assert len(scores) == 200 and "inf" in scores

@@ -1,10 +1,14 @@
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hicrit import _streams
+from hicrit import _store, _streams
 from hicrit.calibrate import CriticalValueEntry, append_cache_entry, load_cache
 from hicrit.cli import dispatch
 from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
@@ -13,7 +17,7 @@ from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
                             make_spiked_sigma, pairwise_pvalue, rowmax_cdf, rowmax_pvalue,
                             sample_gaussian, save_profile)
 from hicrit.errors import InvalidInputError, ValidationError
-from hicrit.numerics import RngSeed
+from hicrit.numerics import RNG_VERSION, RngSeed
 
 import oracles
 
@@ -271,6 +275,35 @@ def test_profiles_and_critical_values_share_a_file(tmp_path):
     save_profile(path, profile)
     assert load_cache(path) == [entry]
     np.testing.assert_array_equal(load_profile(path, 3, 2).means, profile.means)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seeds=st.tuples(_U64, _U64, _U64, _U64), quantile=_FINITE,
+       means=st.lists(_FINITE, min_size=2, max_size=2),
+       sds=st.lists(_FINITE, min_size=2, max_size=2))
+def test_store_round_trip_over_the_full_seed_range(seeds, quantile, means, sds):
+    entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(*seeds[:2]), quantile)
+    profile = EigenNullProfile(3, 2, np.array(means), np.array(sds), 100, RngSeed(*seeds[2:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        append_cache_entry(path, entry)
+        save_profile(path, profile)
+        [got] = load_cache(path)
+        loaded = load_profile(path, 3, 2)
+    assert got == entry and str(got.quantile) == str(quantile)  # -0.0 keeps its sign
+    assert (loaded.n, loaded.p, loaded.replicates, loaded.seed, loaded.rng_version) == \
+        (3, 2, 100, profile.seed, RNG_VERSION)
+    np.testing.assert_array_equal(loaded.means, profile.means)
+    np.testing.assert_array_equal(loaded.sds, profile.sds)
+    for stored, written, (seed, stream_id) in ((got, entry, seeds[:2]),
+                                               (loaded, profile, seeds[2:])):
+        expected = {"replicates": written.replicates, "seed": seed, "stream_id": stream_id,
+                    "rng_version": RNG_VERSION}
+        assert _store.provenance(stored.replicates, stored.seed, stored.rng_version) == expected
 
 
 def test_profile_determinism_and_jobs(monkeypatch):
