@@ -98,6 +98,8 @@ class MixtureSample:
 
 def _mixture_spec(params, epsilon, tau):
     if isinstance(params, ArwParams):
+        if epsilon is not None or tau is not None:
+            raise InvalidInputError("epsilon and tau go with an integer N, not with ArwParams")
         params, epsilon, tau = params.N, params.epsilon, params.tau
     if epsilon is None or tau is None:
         raise InvalidInputError("explicit sampling needs N, epsilon and tau")
@@ -110,7 +112,8 @@ def sample_mixture(params: Union[ArwParams, int], epsilon: Optional[float] = Non
                    tau: Optional[float] = None, seed=0) -> MixtureSample:
     """Draw one mixture sample; ``params`` is an ArwParams or an integer N.
 
-    Refuses epsilon outside [0, 1] and a tau that is not finite.
+    Refuses epsilon outside [0, 1], a tau that is not finite, and an epsilon
+    or tau given with an ArwParams.
     """
     n, eps, t = _mixture_spec(params, epsilon, tau)
     rng = as_generator(seed)
@@ -234,9 +237,10 @@ def detection_experiment(params: Union[ArwParams, int], reps: int, alpha: float 
     + 2^20 and + 2^21, which ``stream_ids`` reports.
     Power and size are the rejection rates of the alternative and null score
     samples. Before any draw it refuses alpha outside (0, 1), a variant other
-    than 'star' or 'plus', epsilon outside [0, 1], a tau or a given
-    ``critical`` that is not finite, alpha0 outside (0, 1], and fewer than
-    100 calibration replicates when ``critical`` is not given.
+    than 'star' or 'plus', an epsilon or tau given with an ArwParams, epsilon
+    outside [0, 1], a tau or a given ``critical`` that is not finite, alpha0
+    outside (0, 1], and fewer than 100 calibration replicates when
+    ``critical`` is not given.
     """
     if reps < 2:
         raise InvalidInputError(f"need reps >= 2, got {reps}")

@@ -10,6 +10,13 @@ and detect-sim the seed, streams, replicates and RNG version of its samples
 and where its critical value came from; permtest and pairs --simulate add the
 seed, first stream, replicates and RNG version of their draws.
 
+Output order: each subcommand returns its summary, its tables and its
+provenance, and dispatch writes them in one order: every table (to its file,
+or to stdout for classify and phase without --out), then the k=v summary
+line, then the manifest. A run that fails before that prints no summary
+line; only an unwritable --manifest, written last, leaves the summary line
+without a manifest line.
+
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
 unusable file, an unwritable --manifest path too, and a cache path in a
@@ -33,8 +40,8 @@ import numpy as np
 from . import __version__, _store, arw, calibrate, covtest, hct, pairhc, phase
 from ._io import ingest_labeled, ingest_pairs, ingest_plain, ingest_pvalues
 from .errors import CacheMissError, HicritError
-from .hc_core import (_floor_index, avg_likelihood_ratio, berk_jones, hc_components, hc_plus,
-                      hc_star)
+from .hc_core import (_floor_index, alr_terms, avg_likelihood_ratio, berk_jones,
+                      berk_jones_terms, hc_components, hc_plus, hc_star)
 from .numerics import RNG_VERSION
 
 EXIT_OK = 0
@@ -49,30 +56,22 @@ def _default_cache():
     return os.path.join(d, "cache.jsonl") if d else None
 
 
-class _Fmt:
-    """Locale-independent numeric formatting at a fixed significant-digit count."""
-
-    def __init__(self, precision: int):
-        self.precision = precision
-
-    def __call__(self, x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, (bool, np.bool_)):
-            return "true" if x else "false"
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        return f"{float(x):.{self.precision}g}"
+def _fmt(x, precision: int) -> str:
+    """Locale-independent formatting, numbers at a fixed significant-digit count."""
+    if isinstance(x, str):
+        return x
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.{precision}g}"
 
 
-def _emit(pairs, fmt: _Fmt):
-    print(" ".join(f"{k}={v if isinstance(v, str) else fmt(v)}" for k, v in pairs))
-
-
-def _write_csv(path, header, rows, fmt: _Fmt):
+def _write_csv(path, header, rows, precision: int):
     """A header and formatted rows as CSV to ``path``, or to stdout when path is None."""
-    lines = [header] + [[cell if isinstance(cell, str) else fmt(cell) for cell in row]
-                        for row in rows]
+    lines = [header] + [[_fmt(cell, precision) for cell in row] for row in rows]
     if path is None:
         csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
         return
@@ -128,82 +127,85 @@ def _add_common(sub, seed=False, threads=False):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.
+# Subcommand implementations: each maps args to (summary, tables, provenance),
+# and dispatch writes them.
 
-def _cmd_score(args, fmt):
+def _cmd_score(args):
     series = ingest_pvalues(args.input, column=args.column)
-    if args.variant == "star":
-        res = hc_star(series, args.alpha0)
-    elif args.variant == "plus":
-        res = hc_plus(series, args.alpha0)
-    elif args.variant == "bj":
-        res = berk_jones(series)
+    if args.variant == "alr":
+        summary = [("variant", "alr"), ("log_score", avg_likelihood_ratio(series, args.alpha0)),
+                   ("n", series.n), ("alpha0", args.alpha0)]
     else:
-        score = avg_likelihood_ratio(series, args.alpha0)
-        _emit([("variant", "alr"), ("log_score", score), ("n", series.n),
-               ("alpha0", args.alpha0)], fmt)
-        return
-    _emit([("variant", res.variant), ("score", res.score),
-           ("argmax_index", res.argmax_index), ("n", series.n), ("alpha0", res.alpha0),
-           ("empty_range", res.empty_range)], fmt)
+        if args.variant == "star":
+            res = hc_star(series, args.alpha0)
+        elif args.variant == "plus":
+            res = hc_plus(series, args.alpha0)
+        else:
+            res = berk_jones(series)
+        summary = [("variant", res.variant), ("score", res.score),
+                   ("argmax_index", res.argmax_index), ("n", series.n), ("alpha0", res.alpha0),
+                   ("empty_range", res.empty_range)]
+    tables = []
     if args.trace:
-        comp = hc_components(series)
-        rows = [(i + 1, series.values[i], comp[i]) for i in range(series.n)]
-        _write_csv(args.trace, ["i", "p", "component"], rows, fmt)
+        # The per-index terms the variant maximizes (or, for alr, sums in log space).
+        comp = (alr_terms(series, args.alpha0) if args.variant == "alr" else
+                berk_jones_terms(series) if args.variant == "bj" else hc_components(series))
+        tables.append((args.trace, ["i", "p", "component"],
+                       [(i + 1, series.values[i], comp[i]) for i in range(comp.size)]))
+    return summary, tables, None
 
 
-def _cmd_calibrate(args, fmt):
+def _cmd_calibrate(args):
     value, source, entry = calibrate.resolve_critical(
         args.n, args.alpha, args.variant, args.policy, args.alpha0, args.reps, args.seed,
         args.cache or _default_cache(), n_jobs=args.threads)
-    fields = [("critical", value), ("source", source), ("N", args.n), ("alpha", args.alpha),
-              ("variant", args.variant), ("alpha0", args.alpha0)]
-    if entry is not None:
-        fields.append(("replicates", entry.replicates))
-    _emit(fields, fmt)
+    summary = [("critical", value), ("source", source), ("N", args.n), ("alpha", args.alpha),
+               ("variant", args.variant), ("alpha0", args.alpha0)]
     if entry is None:
-        return {"source": source}
-    return {"source": source, **_store.provenance(entry.replicates, entry.seed, entry.rng_version)}
+        return summary, [], {"source": source}
+    return summary + [("replicates", entry.replicates)], [], {
+        "source": source, **_store.provenance(entry.replicates, entry.seed, entry.rng_version)}
 
 
-def _cmd_detect_sim(args, fmt):
-    explicit = args.epsilon is not None and args.tau is not None
-    summary = arw.detection_experiment(
-        args.n if explicit else arw.ArwParams(args.n, args.vartheta, args.r), args.reps,
+def _cmd_detect_sim(args):
+    # _usage_problems leaves exactly one complete pair: epsilon/tau or vartheta/r.
+    res = arw.detection_experiment(
+        args.n if args.r is None else arw.ArwParams(args.n, args.vartheta, args.r), args.reps,
         args.alpha, args.variant, args.seed, epsilon=args.epsilon, tau=args.tau,
         alpha0=args.alpha0, critical=args.critical,
         calibration_reps=args.calibration_reps, n_jobs=args.threads)
-    _emit([("power", summary.power), ("size", summary.size),
-           ("critical", summary.critical), ("alpha", summary.alpha),
-           ("variant", summary.variant), ("separated", summary.separated),
-           ("reps", args.reps)], fmt)
+    tables = []
     if args.out:
-        rows = [("H0", s) for s in summary.null_scores] + [("H1", s) for s in summary.alt_scores]
-        _write_csv(args.out, ["hypothesis", "score"], rows, fmt)
-    return {"seed": args.seed, "stream_ids": summary.stream_ids, "reps": args.reps,
-            "rng_version": RNG_VERSION,
-            "critical_source": "simulated" if args.critical is None else "given"}
+        tables.append((args.out, ["hypothesis", "score"],
+                       [("H0", s) for s in res.null_scores] + [("H1", s) for s in res.alt_scores]))
+    summary = [("power", res.power), ("size", res.size), ("critical", res.critical),
+               ("alpha", res.alpha), ("variant", res.variant), ("separated", res.separated),
+               ("reps", args.reps)]
+    return summary, tables, {"seed": args.seed, "stream_ids": res.stream_ids, "reps": args.reps,
+                             "rng_version": RNG_VERSION,
+                             "critical_source": "simulated" if args.critical is None else "given"}
 
 
-def _cmd_permtest(args, fmt):
+def _cmd_permtest(args):
     matrix = ingest_labeled(args.input)
     res = arw.permutation_test(matrix, args.shuffles, args.seed,
                                variant=args.variant, alpha0=args.alpha0)
-    _emit([("pvalue", res.pvalue), ("original_score", res.original_score),
-           ("shuffles", args.shuffles), ("variant", args.variant)], fmt)
+    tables = []
     if args.out:
-        _write_csv(args.out, ["shuffle", "score"],
-                   list(enumerate(res.shuffle_scores, start=1)), fmt)
-    return _store.provenance(args.shuffles, args.seed)
+        tables.append((args.out, ["shuffle", "score"],
+                       list(enumerate(res.shuffle_scores, start=1))))
+    summary = [("pvalue", res.pvalue), ("original_score", res.original_score),
+               ("shuffles", args.shuffles), ("variant", args.variant)]
+    return summary, tables, _store.provenance(args.shuffles, args.seed)
 
 
-def _cmd_select(args, fmt):
+def _cmd_select(args):
     matrix = ingest_labeled(args.train)
     model = hct.train(matrix, args.alpha0)
     hct.save_model(model, args.out)
-    _emit([("hct_index", model.hct_index), ("threshold", model.threshold),
-           ("selected", model.selected_count), ("p", model.p),
-           ("consistent", model.selection_consistent), ("model", args.out)], fmt)
+    return [("hct_index", model.hct_index), ("threshold", model.threshold),
+            ("selected", model.selected_count), ("p", model.p),
+            ("consistent", model.selection_consistent), ("model", args.out)], [], None
 
 
 def _load_test_matrix(path):
@@ -213,38 +215,38 @@ def _load_test_matrix(path):
     return matrix[:, 1:] if header[0].lower() == "label" else matrix
 
 
-def _cmd_classify(args, fmt):
+def _cmd_classify(args):
     model = hct.load_model(args.model)
     scores = hct.decision_scores(model, _load_test_matrix(args.test))
-    preds = np.where(scores >= 0.0, 1, -1)
+    preds = hct._labels_of(scores)
     rows = [(i + 1, int(preds[i]), scores[i]) for i in range(len(scores))]
-    _write_csv(args.out, ["index", "prediction", "score"], rows, fmt)
-    _emit([("n", len(scores)), ("positive", int((preds == 1).sum())),
-           ("negative", int((preds == -1).sum()))], fmt)
+    summary = [("n", len(scores)), ("positive", int((preds == 1).sum())),
+               ("negative", int((preds == -1).sum()))]
+    return summary, [(args.out, ["index", "prediction", "score"], rows)], None
 
 
-def _cmd_evaluate(args, fmt):
+def _cmd_evaluate(args):
     model = hct.load_model(args.model)
     matrix = ingest_labeled(args.test)
     res = hct.evaluate(model, matrix)
-    _emit([("error_rate", res.error_rate), ("n_test", matrix.n),
-           ("ties", res.tie_count), ("hct_index", model.hct_index)], fmt)
+    tables = []
     if args.out:
-        rows = [(i + 1, int(matrix.labels[i]), int(res.predictions[i]), res.scores[i],
-                 res.normalized_scores[i]) for i in range(matrix.n)]
-        _write_csv(args.out, ["index", "label", "prediction", "score", "normalized_score"],
-                   rows, fmt)
+        tables.append((args.out, ["index", "label", "prediction", "score", "normalized_score"],
+                       [(i + 1, int(matrix.labels[i]), int(res.predictions[i]), res.scores[i],
+                         res.normalized_scores[i]) for i in range(matrix.n)]))
+    return [("error_rate", res.error_rate), ("n_test", matrix.n),
+            ("ties", res.tie_count), ("hct_index", model.hct_index)], tables, None
 
 
-def _cmd_cov_clique(args, fmt):
+def _cmd_cov_clique(args):
     data, _ = ingest_plain(args.input)
     res = covtest.clique_test(data, mode=args.mode, alpha0=args.alpha0,
                               side=args.side, center=not args.no_center)
-    _emit([("score", res.score), ("mode", args.mode), ("argmax_index", res.argmax_index),
-           ("n", data.shape[0]), ("p", data.shape[1])], fmt)
+    return [("score", res.score), ("mode", args.mode), ("argmax_index", res.argmax_index),
+            ("n", data.shape[0]), ("p", data.shape[1])], [], None
 
 
-def _cmd_cov_eigen(args, fmt):
+def _cmd_cov_eigen(args):
     data, _ = ingest_plain(args.input)
     n, p = data.shape
     # Only _floor_index's (0, 1] check matters here: a bad alpha0 is refused
@@ -254,41 +256,44 @@ def _cmd_cov_eigen(args, fmt):
                                                 cache_path=args.profile_cache or _default_cache(),
                                                 n_jobs=args.threads)
     res = covtest.eigen_hc_test(data, profile, args.alpha0)
-    _emit([("score", res.score), ("argmax_rank", res.argmax_rank), ("n", n), ("p", p),
-           ("profile_replicates", profile.replicates)], fmt)
+    tables = []
     if args.trace:
-        rows = [(i + 1, res.components[i]) for i in range(res.components.size)]
-        _write_csv(args.trace, ["rank", "component"], rows, fmt)
-    return _store.provenance(profile.replicates, profile.seed, profile.rng_version)
+        tables.append((args.trace, ["rank", "component"],
+                       [(i + 1, res.components[i]) for i in range(res.components.size)]))
+    summary = [("score", res.score), ("argmax_rank", res.argmax_rank), ("n", n), ("p", p),
+               ("profile_replicates", profile.replicates)]
+    return summary, tables, _store.provenance(profile.replicates, profile.seed,
+                                              profile.rng_version)
 
 
-def _cmd_pairs(args, fmt):
+def _cmd_pairs(args):
+    tables = []
     if args.simulate:
         scores = pairhc.simulate_pair_scores(args.n, args.epsilon, args.tau, args.rho,
                                              args.reps, args.seed, args.alpha0)
-        _emit([("reps", args.reps), ("median_score", float(np.median(scores))),
-               ("min_score", scores.min()), ("max_score", scores.max()),
-               ("epsilon", args.epsilon), ("tau", args.tau), ("rho", args.rho)], fmt)
         if args.out:
-            _write_csv(args.out, ["rep", "score"], list(enumerate(scores, start=1)), fmt)
-        return _store.provenance(args.reps, args.seed)
+            tables.append((args.out, ["rep", "score"], list(enumerate(scores, start=1))))
+        summary = [("reps", args.reps), ("median_score", float(np.median(scores))),
+                   ("min_score", scores.min()), ("max_score", scores.max()),
+                   ("epsilon", args.epsilon), ("tau", args.tau), ("rho", args.rho)]
+        return summary, tables, _store.provenance(args.reps, args.seed)
     x, y = ingest_pairs(args.input)
     ranked = pairhc.RankedPairs.from_data(x, y)
     res = pairhc.pair_hc_star(ranked, args.alpha0)
-    _emit([("score", res.score), ("argmax_k", res.argmax_index), ("n", ranked.n)], fmt)
     if args.trace:
         comp = pairhc.pair_hc_components(ranked)
         counts = pairhc.corner_counts(ranked)
-        rows = [(k + 1, int(counts[k]), comp[k]) for k in range(ranked.n)
-                if np.isfinite(comp[k])]
-        _write_csv(args.trace, ["k", "S_k", "component"], rows, fmt)
+        tables.append((args.trace, ["k", "S_k", "component"],
+                       [(k + 1, int(counts[k]), comp[k]) for k in range(ranked.n)
+                        if np.isfinite(comp[k])]))
+    return [("score", res.score), ("argmax_k", res.argmax_index), ("n", ranked.n)], tables, None
 
 
-def _cmd_phase(args, fmt):
+def _cmd_phase(args):
     rows = phase.boundary_table(args.theta, args.grid, r=args.r)
     header = ["vartheta", "rho", "rho_theta", "qideal_phase", "qideal_value"]
-    _write_csv(args.out, header, [[r[h] for h in header] for r in rows], fmt)
-    _emit([("rows", len(rows)), ("theta", args.theta)], fmt)
+    table = (args.out, header, [[r[h] for h in header] for r in rows])
+    return [("rows", len(rows)), ("theta", args.theta)], [table], None
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--column", help="CSV column name (default: one value per line)")
     s.add_argument("--variant", choices=["star", "plus", "bj", "alr"], default="plus")
     s.add_argument("--alpha0", type=float, default=0.5)
-    s.add_argument("--trace", help="write per-index component trace CSV here")
+    s.add_argument("--trace", help="write the per-index terms as CSV here: the HC component "
+                   "for star and plus, N*D(p_(i), i/N) for bj (inf where excluded), and "
+                   "log w_i + log LR_i for i <= floor(alpha0*N) for alr")
     _add_common(s)
     s.set_defaults(func=_cmd_score)
 
@@ -417,11 +424,15 @@ def _usage_problems(args):
     yield getattr(args, "threads", 1) < 1, "--threads must be >= 1"
     if args.subcommand == "pairs":
         yield not (args.simulate or args.input), "needs --input or --simulate"
+        yield args.simulate and args.input is not None, "--input and --simulate do not mix"
         yield args.simulate and args.seed is None, "--simulate requires --seed"
         yield args.simulate and args.n is None, "--simulate requires --n"
     if args.subcommand == "detect-sim":
-        yield (None in (args.epsilon, args.tau) and None in (args.vartheta, args.r),
+        explicit, arw_pair = (args.epsilon, args.tau), (args.vartheta, args.r)
+        yield (None in explicit and None in arw_pair,
                "needs --epsilon with --tau, or --vartheta with --r")
+        yield (explicit != (None, None) and arw_pair != (None, None),
+               "--epsilon/--tau and --vartheta/--r do not mix")
 
 
 def dispatch(argv) -> int:
@@ -431,7 +442,11 @@ def dispatch(argv) -> int:
             if violated:
                 args.usage_error(message)
         started = time.monotonic()
-        _manifest(args, started, args.func(args, _Fmt(args.precision)))
+        summary, tables, provenance = args.func(args)
+        for path, header, rows in tables:
+            _write_csv(path, header, rows, args.precision)
+        print(" ".join(f"{k}={_fmt(v, args.precision)}" for k, v in summary))
+        _manifest(args, started, provenance)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)

@@ -31,7 +31,9 @@ __all__ = [
     "hc_plus",
     "ohc_plus_band",
     "hc_feature_scores",
+    "berk_jones_terms",
     "berk_jones",
+    "alr_terms",
     "avg_likelihood_ratio",
     "empirical_cdf_on_grid",
     "gof_theoretical",
@@ -263,6 +265,12 @@ def hc_feature_scores(series: SeriesLike) -> np.ndarray:
     return math.sqrt(n) * (frac - s.values[:-1]) / np.sqrt(frac * (1.0 - frac))
 
 
+def berk_jones_terms(series: SeriesLike) -> np.ndarray:
+    """The N Berk-Jones terms N * D(p_(i), i/N), +inf where the divergence is infinite."""
+    s = as_series(series)
+    return s.n * binomial_kl_array(s.values, np.arange(1, s.n + 1, dtype=float) / s.n)
+
+
 def berk_jones(series: SeriesLike) -> HcResult:
     """Berk-Jones: max over i of N * D(p_(i), i/N) with the binomial KL D.
 
@@ -270,22 +278,17 @@ def berk_jones(series: SeriesLike) -> HcResult:
     i/N, notably i = N with p < 1) are excluded from the max and counted in
     the result's ``excluded`` field. An empty max is 0 by convention.
     """
-    s = as_series(series)
-    n = s.n
-    i_frac = np.arange(1, n + 1, dtype=float) / n
-    terms = n * binomial_kl_array(s.values, i_frac)
+    terms = berk_jones_terms(series)
     finite = np.isfinite(terms)
     best = _first_max(np.where(finite, terms, -np.inf), 0, "bj", 1.0)
     return replace(best, score=0.0 if best.empty_range else best.score,
                    excluded=int((~finite).sum()))
 
 
-def avg_likelihood_ratio(series: SeriesLike, alpha0: float = 0.5) -> float:
-    """log of the Average Likelihood Ratio statistic.
+def alr_terms(series: SeriesLike, alpha0: float = 0.5) -> np.ndarray:
+    """The log ALR terms log w_i + log LR_i for 1 <= i <= floor(alpha0*N).
 
-    ALR = sum_{i<=alpha0*N} LR_i / (2 i log(N/3)) with
-    LR_i = exp(N * max(D(p_(i), i/N), 0)); the sum is evaluated in log space
-    because LR terms overflow for N in the thousands.
+    w_i = 1 / (2 i log(N/3)) and LR_i = exp(N * max(D(p_(i), i/N), 0)).
     """
     s = as_series(series)
     n = s.n
@@ -296,7 +299,16 @@ def avg_likelihood_ratio(series: SeriesLike, alpha0: float = 0.5) -> float:
     div = binomial_kl_array(s.values[:k_max], i / n)
     log_lr = n * np.maximum(div, 0.0)
     log_w = -np.log(2.0 * i * math.log(n / 3.0))
-    return float(logsumexp(log_w + log_lr))
+    return log_w + log_lr
+
+
+def avg_likelihood_ratio(series: SeriesLike, alpha0: float = 0.5) -> float:
+    """log of the Average Likelihood Ratio statistic.
+
+    ALR = sum_{i<=alpha0*N} w_i LR_i, the logsumexp of alr_terms: the sum is
+    evaluated in log space because LR terms overflow for N in the thousands.
+    """
+    return float(logsumexp(alr_terms(series, alpha0)))
 
 
 def empirical_cdf_on_grid(series: SeriesLike) -> np.ndarray:

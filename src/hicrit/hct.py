@@ -219,14 +219,19 @@ def decision_scores(model: HctModel, data) -> np.ndarray:
     return ((x - model.feature_means) / model.feature_sds) @ model.weights.astype(float)
 
 
-def predict(model: HctModel, sample) -> int:
-    """Classify one sample: +1 if the LDA score is positive, -1 if negative.
+def _labels_of(scores) -> np.ndarray:
+    """Class labels of LDA scores: +1 where a score is >= 0, -1 elsewhere.
 
     A score of exactly 0 classifies as +1 (deterministic tie rule; ties have
     probability zero for continuous inputs).
     """
-    score = float(decision_scores(model, np.asarray(sample, dtype=float).reshape(1, -1))[0])
-    return 1 if score >= 0.0 else -1
+    return np.where(scores >= 0.0, 1, -1)
+
+
+def predict(model: HctModel, sample) -> int:
+    """Classify one sample by the sign of its LDA score; a score of 0 gives +1."""
+    scores = decision_scores(model, np.asarray(sample, dtype=float).reshape(1, -1))
+    return int(_labels_of(scores)[0])
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def evaluate(model: HctModel, test_set: LabeledMatrix) -> EvaluationResult:
     rescaling that makes the two class histograms comparable across models.
     """
     scores = decision_scores(model, test_set.data)
-    preds = np.where(scores >= 0.0, 1, -1)
+    preds = _labels_of(scores)
     norm = scores / math.sqrt(model.hct_index)
     return EvaluationResult(
         error_rate=float(np.mean(preds != test_set.labels)),

@@ -136,6 +136,22 @@ def test_mixture_rule(entry, epsilon, tau, message):
         MIXTURE_ENTRY_POINTS[entry](epsilon, tau)
 
 
+ARW_PARAMS_ENTRY_POINTS = {
+    "sample_mixture": lambda **mix: sample_mixture(ArwParams(100, 0.6, 0.5), seed=0, **mix),
+    "detection_experiment": lambda **mix: detection_experiment(
+        ArwParams(100, 0.6, 0.5), 10, critical=3.0, **mix),
+}
+
+
+@pytest.mark.parametrize("entry", ARW_PARAMS_ENTRY_POINTS)
+@pytest.mark.parametrize("mix", [{"epsilon": 0.1}, {"tau": 1.0}, {"epsilon": 0.1, "tau": 1.0}],
+                         ids=["epsilon", "tau", "both"])
+def test_arw_params_take_no_explicit_epsilon_or_tau(entry, mix):
+    # An ArwParams fixes epsilon and tau; a second value would be silently ignored.
+    with pytest.raises(InvalidInputError, match="not with ArwParams"):
+        ARW_PARAMS_ENTRY_POINTS[entry](**mix)
+
+
 PAIR_MIXTURE_ENTRY_POINTS = {
     "sample_bivariate_mixture": lambda *mix: sample_bivariate_mixture(100, *mix),
     "simulate_pair_scores": lambda *mix: simulate_pair_scores(100, *mix, 3, seed=1),

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from hicrit import _streams
 from hicrit.cli import dispatch
@@ -726,3 +727,84 @@ def test_permtest_survives_a_shuffle_with_zero_pooled_variance(tmp_path, capsys)
     assert code == 0, err
     scores = [row.split(",")[1] for row in out_csv.read_text().splitlines()[1:]]
     assert len(scores) == 200 and "inf" in scores
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect-sim", "--n", "1000", "--vartheta", "0.6", "--r", "0.5", "--epsilon", "0.9",
+     "--reps", "20", "--seed", "1", "--critical", "3"],
+    ["detect-sim", "--n", "1000", "--epsilon", "0.01", "--tau", "1", "--vartheta", "0.6",
+     "--r", "0.5", "--reps", "20", "--seed", "1", "--critical", "3"],
+    ["detect-sim", "--n", "1000", "--epsilon", "0.01", "--tau", "1", "--r", "0.5",
+     "--reps", "20", "--seed", "1", "--critical", "3"],
+    ["pairs", "--input", "pairs.csv", "--simulate", "--n", "100", "--reps", "3", "--seed", "1"],
+], ids=["arw-pair-with-epsilon", "both-pairs", "explicit-pair-with-r", "pairs-input-simulate"])
+def test_a_run_that_mixes_two_modes_is_a_usage_error(argv, capsys, monkeypatch):
+    # Each of these ran one mode while its manifest recorded the other's options.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a usage error")
+
+    monkeypatch.setattr(_streams, "run_all", no_simulation)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"usage: hicrit {argv[0]} ") and "do not mix" in err, err
+    assert out == ""
+
+
+@pytest.fixture
+def signal_pvals_file(tmp_path):
+    rng = np.random.default_rng(3)
+    p = np.concatenate([rng.random(190), rng.random(10) * 1e-3])
+    path = tmp_path / "signal.txt"
+    path.write_text("".join(f"{v!r}\n" for v in p.tolist()))
+    return str(path)
+
+
+def read_trace(path):
+    rows = open(path).read().splitlines()
+    assert rows[0] == "i,p,component"
+    return [row.split(",") for row in rows[1:]]
+
+
+def test_bj_trace_holds_the_berk_jones_terms(signal_pvals_file, tmp_path, capsys):
+    trace = str(tmp_path / "bj.csv")
+    code, out, err = run(capsys, "score", "--input", signal_pvals_file, "--variant", "bj",
+                         "--trace", trace, "--precision", "17")
+    assert code == 0, err
+    fields = dict(kv.split("=") for kv in output_lines(out)[0].split())
+    rows = read_trace(trace)
+    assert len(rows) == int(fields["n"]) == 200
+    # The score is the term at argmax_index, and i = N with p < 1 is excluded.
+    assert rows[int(fields["argmax_index"]) - 1][2] == fields["score"]
+    assert rows[-1][2] == "inf"
+    finite = [float(c) for _, _, c in rows if c != "inf"]
+    assert max(finite) == float(fields["score"])
+
+
+def test_alr_trace_sums_to_the_log_score(signal_pvals_file, tmp_path, capsys):
+    trace = str(tmp_path / "alr.csv")
+    code, out, err = run(capsys, "score", "--input", signal_pvals_file, "--variant", "alr",
+                         "--alpha0", "0.3", "--trace", trace, "--precision", "17")
+    assert code == 0, err
+    fields = dict(kv.split("=") for kv in output_lines(out)[0].split())
+    rows = read_trace(trace)
+    assert [int(i) for i, _, _ in rows] == list(range(1, 61))  # i <= floor(0.3 * 200)
+    terms = np.array([float(c) for _, _, c in rows])
+    log_score = float(fields["log_score"])
+    assert abs(logsumexp(terms) - log_score) <= 1e-12 * abs(log_score)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--model", "MODEL", "--test", "TRAIN", "--out"],
+    ["score", "--input", "PVALS", "--trace"],
+], ids=["evaluate-out", "score-trace"])
+def test_a_failed_table_write_prints_nothing_on_stdout(argv, labeled_file, pvals_file,
+                                                        tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
+    target = str(tmp_path / "missing" / "table.csv")
+    argv = [{"MODEL": model, "TRAIN": labeled_file, "PVALS": pvals_file}.get(a, a)
+            for a in argv]
+    code, out, err = run(capsys, *argv, target)
+    assert code == 3
+    assert err.startswith("error: ") and target in err, err
+    assert out == ""
