@@ -14,8 +14,8 @@ import tempfile
 
 import numpy as np
 
-from hicrit.calibrate import (critical_value, empirical_quantile, gumbel_critical,
-                              level_alpha_test, resolve_critical, simulate_null_scores)
+from hicrit.calibrate import (empirical_quantile, gumbel_critical, level_alpha_test,
+                              resolve_critical, simulate_null_scores)
 from hicrit.hc_core import PValueSeries
 
 # The closed form tracks the simulated plus-variant quantiles well; the star
@@ -38,8 +38,8 @@ for n in (1000, 5000, 25_000):
 # The cache-backed resolver: simulate once, hit forever after.
 with tempfile.TemporaryDirectory() as tmp:
     cache = os.path.join(tmp, "cache.jsonl")
-    first = critical_value(2000, 0.05, "plus", "simulate_if_missing",
-                           replicates=5000, seed=3, cache_path=cache)
+    first = resolve_critical(2000, 0.05, "plus", "simulate_if_missing",
+                             replicates=5000, seed=3, cache_path=cache)[0]
     # A hit ignores the seed asked for; the entry records the one that was used.
     again, source, entry = resolve_critical(2000, 0.05, "plus", "cache_only",
                                             replicates=5000, seed=99, cache_path=cache)

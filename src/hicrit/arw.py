@@ -46,7 +46,6 @@ __all__ = [
     "detection_experiment",
     "PermutationTestResult",
     "permutation_test",
-    "permutation_pvalue",
 ]
 
 # Replicates per RNG stream; fixed so no simulated score depends on the worker count.
@@ -331,9 +330,3 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
                           STREAM_BLOCK, matrix.data.size, base, 1)
     exceed = int(np.sum(scores >= original))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)
-
-
-def permutation_pvalue(matrix, shuffles: int, seed=0, variant: str = "plus",
-                       alpha0: float = 0.5) -> float:
-    """The P-value alone; see permutation_test for the estimator."""
-    return permutation_test(matrix, shuffles, seed, variant, alpha0).pvalue

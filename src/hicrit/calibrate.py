@@ -33,7 +33,6 @@ __all__ = [
     "simulate_critical",
     "empirical_quantile",
     "resolve_critical",
-    "critical_value",
     "level_alpha_test",
     "load_cache",
     "append_cache_entry",
@@ -156,14 +155,6 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     if cache_path:
         append_cache_entry(cache_path, entry)
     return entry.quantile, "simulated", entry
-
-
-def critical_value(N: int, alpha: float, variant: str = "plus", policy: str = "gumbel_fallback",
-                   alpha0: float = 0.5, replicates: int = 10_000, seed: int | RngSeed = 0,
-                   cache_path: Optional[str] = None, n_jobs: int = 1) -> float:
-    """The value alone; see resolve_critical for the policies and cache hits."""
-    return resolve_critical(N, alpha, variant, policy, alpha0, replicates, seed,
-                            cache_path, n_jobs)[0]
 
 
 def level_alpha_test(series: PValueSeries, critical, variant: str = "plus",

@@ -12,10 +12,9 @@ seed, first stream, replicates and RNG version of their draws.
 
 Output order: each subcommand returns its summary, its tables and its
 provenance, and dispatch writes them in one order: every table (to its file,
-or to stdout for classify and phase without --out), then the k=v summary
-line, then the manifest. A run that fails before that prints no summary
-line; only an unwritable --manifest, written last, leaves the summary line
-without a manifest line.
+or to stdout for classify and phase without --out), then the --manifest
+file, then the k=v summary line, then the manifest line. A failed run prints
+no summary line and no manifest line.
 
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
@@ -87,7 +86,8 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(args, started: float, provenance=None):
+def _manifest(args, started: float, provenance=None) -> str:
+    """The run's manifest as one JSON line."""
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "usage_error") and v is not None}
     digests = {}
@@ -105,11 +105,7 @@ def _manifest(args, started: float, provenance=None):
     }
     if provenance is not None:
         doc["provenance"] = provenance
-    line = json.dumps(doc, sort_keys=True)
-    if args.manifest:
-        with open(args.manifest, "w") as fh:
-            fh.write(line + "\n")
-    print(f"manifest={line}")
+    return json.dumps(doc, sort_keys=True)
 
 
 def _add_common(sub, seed=False, threads=False):
@@ -425,6 +421,8 @@ def _usage_problems(args):
     if args.subcommand == "pairs":
         yield not (args.simulate or args.input), "needs --input or --simulate"
         yield args.simulate and args.input is not None, "--input and --simulate do not mix"
+        yield args.input is not None and args.out is not None, "--input and --out do not mix"
+        yield args.simulate and args.trace is not None, "--simulate and --trace do not mix"
         yield args.simulate and args.seed is None, "--simulate requires --seed"
         yield args.simulate and args.n is None, "--simulate requires --n"
     if args.subcommand == "detect-sim":
@@ -445,8 +443,12 @@ def dispatch(argv) -> int:
         summary, tables, provenance = args.func(args)
         for path, header, rows in tables:
             _write_csv(path, header, rows, args.precision)
+        manifest = _manifest(args, started, provenance)
+        if args.manifest:
+            with open(args.manifest, "w") as fh:
+                fh.write(manifest + "\n")
         print(" ".join(f"{k}={_fmt(v, args.precision)}" for k, v in summary))
-        _manifest(args, started, provenance)
+        print(f"manifest={manifest}")
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)

@@ -114,8 +114,7 @@ def hc_at_level(n: int, alpha: float, count_significant: int) -> float:
     _check_level(alpha)
     if not 0 <= count_significant <= n:
         raise InvalidInputError(f"count_significant must lie in [0, {n}], got {count_significant}")
-    frac = count_significant / n
-    return math.sqrt(n) * (frac - alpha) / math.sqrt(alpha * (1.0 - alpha))
+    return float(_zscore(count_significant / n, np.array([alpha]), n)[0])
 
 
 def _check_level(alpha: float) -> None:
@@ -157,6 +156,24 @@ def _index_range(alpha0: float, n: int) -> int:
     return k_max
 
 
+def _zscore(x, q: np.ndarray, n: int, var: Optional[np.ndarray] = None) -> np.ndarray:
+    """sqrt(n) * (x - q) / sqrt(v * (1 - v)) with v = ``var``, else q, broadcast.
+
+    The standardized binomial excess behind every HC-type term, computed in
+    place, so ``q`` and ``var`` are arrays. A zero variance gives +-inf or NaN;
+    each caller applies its own end-point rule.
+    """
+    v = q if var is None else var
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.subtract(x, q)
+        np.multiply(math.sqrt(n), z, out=z)
+        den = np.subtract(1.0, v)
+        np.multiply(v, den, out=den)
+        np.sqrt(den, out=den)
+        np.divide(z, den, out=z)
+    return z
+
+
 def _components(p: np.ndarray, n: int) -> np.ndarray:
     """Components i = 1..k of series of size n, given their k smallest P-values.
 
@@ -164,15 +181,7 @@ def _components(p: np.ndarray, n: int) -> np.ndarray:
     is the one documented on hc_components.
     """
     k = p.shape[-1]
-    i = np.arange(1, k + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # sqrt(n) * (i/n - p) / sqrt(p * (1 - p)), one operation at a time.
-        comp = np.subtract(i / n, p)
-        np.multiply(math.sqrt(n), comp, out=comp)
-        den = np.subtract(1.0, p)
-        np.multiply(p, den, out=den)
-        np.sqrt(den, out=den)
-        np.divide(comp, den, out=comp)
+    comp = _zscore(np.arange(1, k + 1, dtype=float) / n, p, n)
     # Rows ascend, so a p = 1 shows in the last column of its row.
     if (p[..., -1:] == 1.0).any():
         at_one = p == 1.0
@@ -260,9 +269,8 @@ def hc_feature_scores(series: SeriesLike) -> np.ndarray:
     n = s.n
     if n < 2:
         raise InvalidInputError("feature scores need N >= 2")
-    i = np.arange(1, n, dtype=float)
-    frac = i / n
-    return math.sqrt(n) * (frac - s.values[:-1]) / np.sqrt(frac * (1.0 - frac))
+    frac = np.arange(1, n, dtype=float) / n
+    return _zscore(frac, s.values[:-1], n, var=frac)
 
 
 def berk_jones_terms(series: SeriesLike) -> np.ndarray:
@@ -318,7 +326,8 @@ def empirical_cdf_on_grid(series: SeriesLike) -> np.ndarray:
     return np.searchsorted(s.values, grid, side="right") / s.n
 
 
-def _gof_max(num: np.ndarray, f0_vals: np.ndarray, n: int, i_min: int, alpha0: float) -> float:
+def _gof_max(x: np.ndarray, f0_vals: np.ndarray, n: int, i_min: int, alpha0: float) -> float:
+    """max |_zscore(x, F0)| over i_min <= i <= floor(alpha0*N), skipping F0 in {0, 1}."""
     k_max = _floor_index(alpha0, n)
     if not 1 <= i_min <= k_max:
         raise InvalidInputError(f"empty index range [{i_min}, {k_max}] for N = {n}")
@@ -327,9 +336,7 @@ def _gof_max(num: np.ndarray, f0_vals: np.ndarray, n: int, i_min: int, alpha0: f
     valid = (f0 > 0.0) & (f0 < 1.0)
     if not valid.any():
         raise InvalidInputError("F0 hits {0, 1} on the whole restricted range")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(num[sel]) / np.sqrt(f0 * (1.0 - f0))
-    return math.sqrt(n) * float(np.max(ratio[valid]))
+    return float(np.max(np.abs(_zscore(x[sel], f0, n)[valid])))
 
 
 def gof_theoretical(fn_on_grid, f0: Callable[[np.ndarray], np.ndarray],
@@ -345,7 +352,7 @@ def gof_theoretical(fn_on_grid, f0: Callable[[np.ndarray], np.ndarray],
     n = fn.size
     grid = np.arange(1, n + 1, dtype=float) / n
     f0_vals = np.asarray(f0(grid), dtype=float)
-    return _gof_max(fn - f0_vals, f0_vals, n, i_min, alpha0)
+    return _gof_max(fn, f0_vals, n, i_min, alpha0)
 
 
 def gof_empirical(series: SeriesLike, f0: Callable[[np.ndarray], np.ndarray],
@@ -360,7 +367,7 @@ def gof_empirical(series: SeriesLike, f0: Callable[[np.ndarray], np.ndarray],
     n = s.n
     grid = np.arange(1, n + 1, dtype=float) / n
     f0_vals = np.asarray(f0(s.values), dtype=float)
-    return _gof_max(grid - f0_vals, f0_vals, n, i_min, alpha0)
+    return _gof_max(grid, f0_vals, n, i_min, alpha0)
 
 
 def bh_fdr_select(series: SeriesLike, q: float) -> int:

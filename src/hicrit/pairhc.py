@@ -1,11 +1,14 @@
 """Rank-based HC test for sparse correlated pairs in bivariate samples.
 
 The statistic counts rank pairs landing in the nested upper-right corners,
-S_k = #{i : min(r_i, s_i) >= k}, standardizes each count by its independence
-mean n(1-k/n)^2 and variance, and maximizes over the upper corner range. The
-mean/variance formulas treat the corner indicators as independent Bernoullis,
-as is customary; ranks are exchangeable rather than i.i.d., so these are
-approximations (good ones at moderate n).
+S_k = #{i : min(r_i, s_i) >= k}, standardizes each count by the binomial mean
+n(1-k/n)^2 and variance it would have if the corner indicators were
+independent Bernoullis, and maximizes over the upper corner range. Ranks are
+exchangeable, not i.i.d., and these moments are off where the statistic
+looks: over 3,000 random permutations at n = 1000 the component's SD was
+0.58, 0.84 and 0.98 at k = 500, 800 and 950, and its mean +0.05 to +0.07.
+The components are not unit-variance z-scores; the null reference for
+pair_hc_star is simulate_pair_scores at epsilon = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import _streams
 from .errors import InvalidInputError
-from .hc_core import HcResult, _check_mixture, _first_max, _floor_index
+from .hc_core import HcResult, _check_mixture, _first_max, _floor_index, _zscore
 from .numerics import RngSeed, _freeze, as_generator, as_seed
 
 __all__ = [
@@ -95,16 +98,16 @@ def pair_hc_components(pairs: RankedPairs) -> np.ndarray:
 
     m_k = (1-k/n)^2 is the independence mean of S_k/n. Entry k is stored at
     index k-1; k = 1 is excluded (NaN) and k = n, where the variance
-    vanishes, is defined as 0.
+    vanishes, is defined as 0. The binomial variance overstates the spread of
+    S_k under random ranks (the component's SD is about 0.6 at k = n/2), so
+    calibrate against simulate_pair_scores at epsilon = 0.
     """
     n = pairs.n
     if n < 2:
         raise InvalidInputError("need at least 2 pairs")
     s = corner_counts(pairs)
-    k = np.arange(1, n + 1, dtype=float)
-    m = (1.0 - k / n) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comp = math.sqrt(n) * (s / n - m) / np.sqrt(m * (1.0 - m))
+    m = (1.0 - np.arange(1, n + 1, dtype=float) / n) ** 2
+    comp = _zscore(s / n, m, n)
     comp[0] = np.nan
     comp[-1] = 0.0
     return comp

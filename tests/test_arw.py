@@ -7,10 +7,9 @@ from scipy.stats import ks_2samp
 from scipy.special import ndtr
 
 from hicrit import _streams
-from hicrit.arw import (ArwParams, STREAM_BLOCK, detection_experiment, permutation_pvalue,
-                        permutation_test, pvalues_one_sided, pvalues_two_sided,
-                        sample_mixture, _mixture_batch, _mixture_job, _ALT_STREAMS,
-                        _CALIB_STREAMS, _NULL_STREAMS)
+from hicrit.arw import (ArwParams, STREAM_BLOCK, detection_experiment, permutation_test,
+                        pvalues_one_sided, pvalues_two_sided, sample_mixture, _mixture_batch,
+                        _mixture_job, _ALT_STREAMS, _CALIB_STREAMS, _NULL_STREAMS)
 from hicrit.calibrate import simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import _index_range, hc_scores_sorted_batch
@@ -343,7 +342,7 @@ def test_permutation_pvalue_boundaries():
 
 def test_permutation_pvalue_uniform_under_null():
     rng = np.random.default_rng(51)
-    pvals = [permutation_pvalue(_noise_matrix(rng, n=12, p=24), shuffles=79, seed=s)
+    pvals = [permutation_test(_noise_matrix(rng, n=12, p=24), shuffles=79, seed=s).pvalue
              for s in range(400)]
     assert 0.45 <= np.mean(pvals) <= 0.55
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from hicrit import _streams
-from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, critical_value,
-                              empirical_quantile, gumbel_critical, level_alpha_test,
-                              load_cache, resolve_critical, simulate_critical,
-                              simulate_null_scores)
+from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, empirical_quantile,
+                              gumbel_critical, level_alpha_test, load_cache,
+                              resolve_critical, simulate_critical, simulate_null_scores)
 from hicrit.cli import dispatch
 from hicrit.covtest import EigenNullProfile, load_profile, save_profile
 from hicrit.errors import CacheMissError, InvalidInputError, ValidationError
@@ -215,17 +214,17 @@ def test_a_read_parses_only_its_own_kind(tmp_path, monkeypatch):
 def test_critical_value_policies(tmp_path):
     path = str(tmp_path / "cache.csv")
     with pytest.raises(CacheMissError):
-        critical_value(1000, 0.05, "plus", "cache_only", cache_path=path)
+        resolve_critical(1000, 0.05, "plus", "cache_only", cache_path=path)
     # gumbel_fallback with an empty cache returns the closed form, writes nothing
-    value = critical_value(1000, 0.05, "plus", "gumbel_fallback", cache_path=path)
+    value = resolve_critical(1000, 0.05, "plus", "gumbel_fallback", cache_path=path)[0]
     assert value == gumbel_critical(1000, 0.05)
     assert load_cache(path) == []
     # simulate_if_missing writes exactly one entry, then hits it bit-exactly
-    v1 = critical_value(300, 0.05, "plus", "simulate_if_missing",
-                        replicates=1000, seed=1, cache_path=path)
+    v1 = resolve_critical(300, 0.05, "plus", "simulate_if_missing",
+                          replicates=1000, seed=1, cache_path=path)[0]
     assert len(load_cache(path)) == 1
-    v2 = critical_value(300, 0.05, "plus", "simulate_if_missing",
-                        replicates=1000, seed=1, cache_path=path)
+    v2 = resolve_critical(300, 0.05, "plus", "simulate_if_missing",
+                          replicates=1000, seed=1, cache_path=path)[0]
     assert v2 == v1
     assert len(load_cache(path)) == 1
     assert resolve_critical(300, 0.05, "plus", "cache_only", replicates=1000,
@@ -234,9 +233,9 @@ def test_critical_value_policies(tmp_path):
                             cache_path=path) == (value, "gumbel", None)
     # a hit requires enough stored replicates
     with pytest.raises(CacheMissError):
-        critical_value(300, 0.05, "plus", "cache_only", replicates=5000, cache_path=path)
+        resolve_critical(300, 0.05, "plus", "cache_only", replicates=5000, cache_path=path)
     with pytest.raises(InvalidInputError):
-        critical_value(300, 0.05, "plus", "bogus_policy")
+        resolve_critical(300, 0.05, "plus", "bogus_policy")
 
 
 # --------------------------------------------------------------------------- level test

@@ -630,7 +630,7 @@ def test_unwritable_manifest_exits_3_without_a_traceback(subcommand, target, pva
     assert "Traceback" not in done.stderr
     assert any(line.startswith("error: ") and manifest in line
                for line in done.stderr.splitlines()), done.stderr
-    assert "manifest=" not in done.stdout
+    assert done.stdout == ""
 
 
 @pytest.mark.parametrize("field, value", [("feature_sds", 0.0), ("feature_sds", float("nan")),
@@ -737,7 +737,10 @@ def test_permtest_survives_a_shuffle_with_zero_pooled_variance(tmp_path, capsys)
     ["detect-sim", "--n", "1000", "--epsilon", "0.01", "--tau", "1", "--r", "0.5",
      "--reps", "20", "--seed", "1", "--critical", "3"],
     ["pairs", "--input", "pairs.csv", "--simulate", "--n", "100", "--reps", "3", "--seed", "1"],
-], ids=["arw-pair-with-epsilon", "both-pairs", "explicit-pair-with-r", "pairs-input-simulate"])
+    ["pairs", "--input", "pairs.csv", "--out", "po.csv"],
+    ["pairs", "--simulate", "--n", "100", "--reps", "3", "--seed", "1", "--trace", "t.csv"],
+], ids=["arw-pair-with-epsilon", "both-pairs", "explicit-pair-with-r", "pairs-input-simulate",
+        "pairs-input-out", "pairs-simulate-trace"])
 def test_a_run_that_mixes_two_modes_is_a_usage_error(argv, capsys, monkeypatch):
     # Each of these ran one mode while its manifest recorded the other's options.
     def no_simulation(*args, **kwargs):

@@ -247,6 +247,15 @@ def test_gof_empirical_identity_equals_abs_component():
     assert got == pytest.approx(np.max(np.abs(comp)), rel=1e-12)
 
 
+def test_gof_empirical_identity_is_exactly_the_max_abs_component():
+    # Both go through hc_core._zscore, so the identity holds bit for bit.
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        series = random_series(rng, int(rng.integers(2, 300)))
+        got = gof_empirical(series, lambda t: t, i_min=1, alpha0=1.0)
+        assert got == np.max(np.abs(hc_components(series)))
+
+
 def test_gof_excludes_f0_extremes():
     series = PValueSeries(np.array([0.1, 0.2, 0.3, 0.4]))
     f0 = lambda t: np.where(t < 0.15, 0.0, t)  # hits 0 inside the range
