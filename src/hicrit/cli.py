@@ -11,10 +11,10 @@ and where its critical value came from; permtest and pairs --simulate add the
 seed, first stream, replicates and RNG version of their draws.
 
 Output order: each subcommand returns its summary, its tables and its
-provenance, and dispatch writes them in one order: every table (to its file,
-or to stdout for classify and phase without --out), then the --manifest
-file, then the k=v summary line, then the manifest line. A failed run prints
-no summary line and no manifest line.
+provenance, and dispatch writes them in one order: every file first (the
+tables that have a path, then the --manifest file), then stdout in one
+write (the tables of classify and phase without --out, the k=v summary line
+and the manifest line). A failed run prints nothing on stdout.
 
 Exit codes: 0 success; 2 usage error, including a missing option pair; 3
 invalid input (a malformed data, model or cache file names its line) or an
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -68,14 +69,10 @@ def _fmt(x, precision: int) -> str:
     return f"{float(x):.{precision}g}"
 
 
-def _write_csv(path, header, rows, precision: int):
-    """A header and formatted rows as CSV to ``path``, or to stdout when path is None."""
-    lines = [header] + [[_fmt(cell, precision) for cell in row] for row in rows]
-    if path is None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
-        return
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(lines)
+def _write_csv(fh, header, rows, precision: int, lineterminator: str) -> None:
+    """A header and formatted rows as CSV to the open text file ``fh``."""
+    csv.writer(fh, lineterminator=lineterminator).writerows(
+        [header] + [[_fmt(cell, precision) for cell in row] for row in rows])
 
 
 def _digest(path) -> str:
@@ -434,38 +431,43 @@ def _usage_problems(args):
 
 
 def dispatch(argv) -> int:
+    code, out = EXIT_OK, io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
-        for violated, message in _usage_problems(args):
-            if violated:
-                args.usage_error(message)
-        started = time.monotonic()
-        summary, tables, provenance = args.func(args)
-        for path, header, rows in tables:
-            _write_csv(path, header, rows, args.precision)
-        manifest = _manifest(args, started, provenance)
-        if args.manifest:
-            with open(args.manifest, "w") as fh:
-                fh.write(manifest + "\n")
-        print(" ".join(f"{k}={_fmt(v, args.precision)}" for k, v in summary))
-        print(f"manifest={manifest}")
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version, 2 for usage errors
-        return int(exc.code or 0)
+        try:
+            args = build_parser().parse_args(argv)
+            for violated, message in _usage_problems(args):
+                if violated:
+                    args.usage_error(message)
+            started = time.monotonic()
+            summary, tables, provenance = args.func(args)
+            for path, header, rows in tables:  # files end lines with "\r\n", stdout with "\n"
+                if path is None:
+                    _write_csv(out, header, rows, args.precision, "\n")
+                    continue
+                with open(path, "w", newline="") as fh:
+                    _write_csv(fh, header, rows, args.precision, "\r\n")
+            manifest = _manifest(args, started, provenance)
+            if args.manifest:
+                with open(args.manifest, "w") as fh:
+                    fh.write(manifest + "\n")
+            print(" ".join(f"{k}={_fmt(v, args.precision)}" for k, v in summary), file=out)
+            print(f"manifest={manifest}", file=out)
+        except SystemExit as exc:
+            # argparse exits 0 for --help/--version (its text flushed below), 2 for usage errors
+            code = int(exc.code or 0)
+        # Stdout last, in one write: a run that failed above printed nothing there.
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
     except (HicritError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS if isinstance(exc, CacheMissError) else EXIT_VALIDATION
-    return EXIT_OK
+    return code
 
 
 def main() -> None:
     code = dispatch(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = EXIT_BROKEN_PIPE
     if code == EXIT_BROKEN_PIPE:
         # The interpreter flushes stdout again at exit; pointing fd 1 at devnull keeps
         # that flush from failing too (the note on SIGPIPE in Python's signal docs).

@@ -406,6 +406,8 @@ def hc_scores_sorted_batch(sorted_pvalues: np.ndarray, variant: str = "plus",
 def empirical_quantile(scores: np.ndarray, alpha: float) -> float:
     """(1-alpha) quantile as the order statistic at ceil((1-alpha)*R)."""
     _check_level(alpha)
-    s = np.sort(np.asarray(scores, dtype=float))
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or s.size < 1 or np.isnan(s).any():
+        raise InvalidInputError("scores must be a non-empty 1-D array without NaN")
     idx = int(math.ceil((1.0 - alpha) * s.size - 1e-9))
-    return float(s[min(max(idx, 1), s.size) - 1])
+    return float(np.sort(s)[min(max(idx, 1), s.size) - 1])

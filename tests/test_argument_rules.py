@@ -99,6 +99,19 @@ def test_level_rule(entry, alpha):
         LEVEL_ENTRY_POINTS[entry](alpha)
 
 
+@pytest.mark.parametrize("scores", [[], [[1.0, 2.0], [3.0, 4.0]], [float("nan"), 1.0, 2.0]],
+                         ids=["empty", "2-D", "nan"])
+def test_empirical_quantile_refuses_bad_scores(scores):
+    with pytest.raises(InvalidInputError, match="scores must be a non-empty 1-D array"):
+        empirical_quantile(scores, 0.05)
+
+
+def test_empirical_quantile_keeps_infinite_scores():
+    # An empty window scores -inf, and such a replicate still counts.
+    assert empirical_quantile([-np.inf, -np.inf, 1.0, np.inf], 0.5) == -np.inf
+    assert empirical_quantile([-np.inf, 1.0, np.inf], 0.05) == np.inf
+
+
 VARIANT_ENTRY_POINTS = {
     "hc_scores_sorted_batch": lambda v: hc_scores_sorted_batch(ROWS, v),
     "simulate_null_scores": lambda v: simulate_null_scores(40, v, 0.5, 10),

@@ -614,15 +614,20 @@ def test_cov_eigen_checks_alpha0_before_its_profile(alpha0, tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-@pytest.mark.parametrize("subcommand", ["score", "calibrate"])
+@pytest.mark.parametrize("subcommand", ["score", "calibrate", "phase", "classify"])
 def test_unwritable_manifest_exits_3_without_a_traceback(subcommand, target, pvals_file,
-                                                         tmp_path):
+                                                         labeled_file, tmp_path, capsys):
+    # phase and classify without --out print a table on stdout: nothing of it may remain.
     manifest = str(tmp_path / "no" / "such" / "m.json" if target == "missing-directory"
                    else tmp_path)
+    model = str(tmp_path / "model.json")
+    assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
     argv = {"score": ["score", "--input", pvals_file],
             "calibrate": ["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200",
                           "--seed", "1", "--cache", str(tmp_path / "c.jsonl"),
-                          "--threads", "1"]}[subcommand]
+                          "--threads", "1"],
+            "phase": ["phase", "--theta", "0.3", "--grid", "3"],
+            "classify": ["classify", "--model", model, "--test", labeled_file]}[subcommand]
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     done = subprocess.run([sys.executable, "-m", "hicrit.cli", *argv, "--manifest", manifest],
                           env=env, capture_output=True, text=True, timeout=120)

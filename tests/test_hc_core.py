@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hicrit.calibrate import empirical_quantile, simulate_null_scores
+from hicrit.calibrate import empirical_quantile, level_alpha_test, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import (HcResult, PValueSeries, avg_likelihood_ratio, berk_jones,
                             bh_fdr_select, empirical_cdf_on_grid, gof_empirical,
@@ -378,6 +378,10 @@ def test_index_windows_equal_masked_maxima(p, alpha0, band):
         assert (res.score, res.argmax_index) == masked_max(p, keep)
         assert res.empty_range == (res.argmax_index is None)
         assert hc_scores_sorted_batch(p[None, :], variant, alpha0)[0] == res.score
+        assert level_alpha_test(p, res.score, variant, alpha0) == "retain"
+        if math.isfinite(res.score):
+            below = np.nextafter(res.score, -np.inf)
+            assert level_alpha_test(p, below, variant, alpha0) == "reject"
 
 
 # --------------------------------------------------------------------------- null calibration

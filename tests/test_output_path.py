@@ -33,3 +33,21 @@ def test_commands_write_no_output():
 def test_write_csv_is_called_only_from_dispatch():
     callers = {name for name, func in _functions().items() if "_write_csv" in _called_names(func)}
     assert callers == {"dispatch"}
+
+
+def test_only_dispatch_writes_stdout_or_maps_a_closed_stdout():
+    # dispatch writes stdout once, after every file, so a failed run prints nothing
+    # there; its handler is then the one place a closed stdout becomes exit 141.
+    tree = ast.parse(CLI.read_text(), filename=str(CLI))
+    owners = {"print": set(), "sys.stdout.write/flush": set(), "BrokenPipeError": set()}
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            called = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+            if called == "print":
+                owners["print"].add(owner)
+            if called in ("sys.stdout.write", "sys.stdout.flush"):
+                owners["sys.stdout.write/flush"].add(owner)
+            if isinstance(node, ast.Name) and node.id == "BrokenPipeError":
+                owners["BrokenPipeError"].add(owner)
+    assert owners == {kind: {"dispatch"} for kind in owners}

@@ -1,6 +1,7 @@
 """The benchmark's span recorder (perfbench/spans.py) wraps hicrit functions
 where the calling module resolves them; every such name must still exist."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +13,7 @@ from hicrit.cli import dispatch
 from hicrit.numerics import RngSeed
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "hicrit"
 
 
 def _load_spans():
@@ -29,6 +31,27 @@ def test_every_trace_point_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module}.{attr} does not resolve"
+
+
+def test_every_trace_point_is_called():
+    # A function-level point must be called where it is resolved: bare in its own
+    # module, or as <module>.<name>(...) from another one. A point nothing calls
+    # would make its per-layer metric read 0 without any error.
+    bare, qualified = {}, set()
+    for path in SRC.glob("*.py"):
+        names = bare.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)):
+                qualified.add((node.func.value.id, node.func.attr))
+    dead = []
+    for module, attr, _, _ in _load_spans().TRACE_POINTS:
+        owner = module.rsplit(".", 1)[-1]
+        if "." not in attr and attr not in bare[owner] and (owner, attr) not in qualified:
+            dead.append(f"{module}.{attr}")
+    assert dead == []
 
 
 def test_cache_spans_are_recorded(tmp_path, capsys):
