@@ -99,8 +99,11 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
 # Cache: "critical_value" records in the shared record store.
 
 def _entry(prm, value, **provenance) -> CriticalValueEntry:
+    quantile = float(value)
+    if math.isnan(quantile):  # a simulated quantile is finite or -inf, never NaN
+        raise ValueError("quantile is NaN")
     return CriticalValueEntry(int(prm["N"]), float(prm["alpha"]), prm["variant"],
-                              float(prm["alpha0"]), quantile=float(value), **provenance)
+                              float(prm["alpha0"]), quantile=quantile, **provenance)
 
 
 def load_cache(path) -> list[CriticalValueEntry]:
@@ -160,8 +163,8 @@ def level_alpha_test(series: SeriesLike, critical, variant: str = "plus",
     """Reject iff the chosen HC statistic strictly exceeds the critical value.
 
     ``critical`` may be a float or a CriticalValueEntry; an entry whose N does
-    not match the series is refused, and so is a variant (given, or the
-    entry's) other than 'star' or 'plus'.
+    not match the series is refused, and so are a NaN critical value and a
+    variant (given, or the entry's) other than 'star' or 'plus'.
     """
     if isinstance(critical, CriticalValueEntry):
         if critical.N != len(series):
@@ -170,5 +173,7 @@ def level_alpha_test(series: SeriesLike, critical, variant: str = "plus",
         variant, alpha0, threshold = critical.variant, critical.alpha0, critical.quantile
     else:
         threshold = float(critical)
+    if math.isnan(threshold):
+        raise InvalidInputError("critical value must not be NaN")
     score = hc_scores_sorted_batch(as_series(series).values[None, :], variant, alpha0)[0]
     return "reject" if score > threshold else "retain"

@@ -83,10 +83,12 @@ def correlation_summary(X, center: bool = True) -> CorrelationSummary:
 
 
 def _rho_to_t(rho, n: int):
+    """(t, df): the t statistic of a sample correlation and its degrees of freedom."""
     if n < 3:
         raise InvalidInputError(f"need n >= 3, got {n}")
+    df = n - 1
     rho = np.clip(np.asarray(rho, dtype=float), -1.0 + _RHO_EPS, 1.0 - _RHO_EPS)
-    return math.sqrt(n - 1.0) * rho / np.sqrt(1.0 - rho * rho)
+    return math.sqrt(df) * rho / np.sqrt(1.0 - rho * rho), df
 
 
 def pairwise_pvalue(rho, n: int, side: str = "two"):
@@ -99,11 +101,9 @@ def pairwise_pvalue(rho, n: int, side: str = "two"):
     """
     if side not in ("upper", "two"):
         raise InvalidInputError(f"side must be 'upper' or 'two', got {side!r}")
-    scalar = np.isscalar(rho)
-    t = _rho_to_t(rho, n)
-    out = student_t_sf(t, n - 1) if side == "upper" else 2.0 * student_t_sf(np.abs(t), n - 1)
-    out = clamp_pvalues(out)
-    return float(out) if scalar else out
+    t, df = _rho_to_t(rho, n)
+    return clamp_pvalues(student_t_sf(t, df) if side == "upper"
+                         else 2.0 * student_t_sf(np.abs(t), df))
 
 
 def _rowmax_t(rho, n: int, p: int):
@@ -114,19 +114,17 @@ def _rowmax_t(rho, n: int, p: int):
 
 def rowmax_cdf(rho, n: int, p: int):
     """F_{p,n}(rho) = P(max of a row's p-1 correlations <= rho) under the null."""
-    scalar = np.isscalar(rho)
-    out = student_t_cdf(_rowmax_t(rho, n, p), n - 1) ** (p - 1)
-    return float(out) if scalar else out
+    t, df = _rowmax_t(rho, n, p)
+    return student_t_cdf(t, df) ** (p - 1)
 
 
 def rowmax_pvalue(rho, n: int, p: int):
     """Upper-tail P-value 1 - F_{p,n}(rho) for a row-maximum correlation, computed as
     -expm1((p-1) log1p(-sf)) from the t upper tail sf so that no digits cancel."""
-    scalar = np.isscalar(rho)
-    sf = student_t_sf(_rowmax_t(rho, n, p), n - 1)
+    t, df = _rowmax_t(rho, n, p)
+    sf = student_t_sf(t, df)
     with np.errstate(divide="ignore"):  # sf == 1: log1p gives -inf, the P-value 1
-        out = clamp_pvalues(-np.expm1((p - 1) * np.log1p(-sf)))
-    return float(out) if scalar else out
+        return clamp_pvalues(-np.expm1((p - 1) * np.log1p(-sf)))
 
 
 def clique_test(X, mode: str = "pairwise", alpha0: float = 0.5, side: str = "two",
@@ -144,8 +142,7 @@ def clique_test(X, mode: str = "pairwise", alpha0: float = 0.5, side: str = "two
         pvals = pairwise_pvalue(summary.pairwise, summary.n, side=side)
     else:
         pvals = rowmax_pvalue(summary.rowmax, summary.n, summary.p)
-    series = PValueSeries(np.sort(np.atleast_1d(pvals)))
-    return ohc_plus_band(series, p_min=1.0 / len(series), p_max=alpha0)
+    return ohc_plus_band(PValueSeries(np.sort(pvals)), p_max=alpha0)
 
 
 def make_clique_sigma(p: int, k: int, a: float) -> np.ndarray:
@@ -178,10 +175,10 @@ def sample_gaussian(n: int, sigma: np.ndarray, seed=0) -> np.ndarray:
 
 
 def _sorted_eigenvalues(X: np.ndarray) -> np.ndarray:
-    """Nonzero eigenvalues of X'X/n, descending, via the smaller Gram matrix."""
+    """The min(n, p) eigenvalues of X'X/n, descending, via the smaller Gram matrix."""
     n, p = X.shape
     gram = (X.T @ X if p <= n else X @ X.T) / n
-    return np.linalg.eigvalsh(gram)[::-1][: min(n, p)]
+    return np.linalg.eigvalsh(gram)[::-1]
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,7 @@ class EigenNullProfile:
 
 
 def _profile_batch(params, b: int, rng) -> np.ndarray:
-    n, p = params
-    out = np.empty((b, min(n, p)))
-    for i in range(b):
-        out[i] = _sorted_eigenvalues(rng.standard_normal((n, p)))
-    return out
+    return np.stack([_sorted_eigenvalues(rng.standard_normal(params)) for _ in range(b)])
 
 
 def eigen_null_profile(n: int, p: int, replicates: int = 500, seed=0,
@@ -236,12 +229,15 @@ def eigen_hc_test(X, profile: EigenNullProfile, alpha0: float = 0.5) -> EigenHcR
     """Standardize each sorted eigenvalue of X'X/n by its null mean/SD and maximize.
 
     The max runs over the top max(1, floor(alpha0 * min(n, p))) ranks. Refuses
-    an X whose shape is not the profile's and alpha0 outside (0, 1].
+    an X whose shape is not the profile's, a profile whose sds are not all
+    positive and alpha0 outside (0, 1].
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (profile.n, profile.p):
         raise InvalidInputError(
             f"X has shape {X.shape}, profile was simulated for ({profile.n}, {profile.p})")
+    if not np.all(profile.sds > 0.0):
+        raise InvalidInputError("profile sds must all be positive")
     k_max = max(1, _floor_index(alpha0, profile.m))
     comp = (_sorted_eigenvalues(X) - profile.means) / profile.sds
     best = _first_max(comp[:k_max], 0, "eigen", alpha0)
@@ -279,9 +275,12 @@ def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
 
 def _profile(prm, value, **provenance) -> EigenNullProfile:
     n, p = int(prm["n"]), int(prm["p"])
+    m = min(n, p)
     means, sds = (np.array(value[k], dtype=float) for k in ("means", "sds"))
-    if not means.shape == sds.shape == (min(n, p),):
-        raise ValueError(f"expected {min(n, p)} means and sds")
+    if not means.shape == sds.shape == (m,):
+        raise ValueError(f"expected {m} means and sds")
+    if not np.isfinite((means, sds)).all():
+        raise ValueError("means and sds must be finite")
     return EigenNullProfile(n, p, means, sds, **provenance)
 
 

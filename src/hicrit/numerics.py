@@ -103,8 +103,7 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidInputError(f"p must lie strictly inside (0, 1), got {p}")
-    out = special.ndtri(arr)
-    return float(out) if np.isscalar(p) else out
+    return _elementwise(special.ndtri, p)
 
 
 def student_t_cdf(x, df: int):
@@ -156,5 +155,6 @@ def binomial_kl_array(p0, p1):
 
 
 def clamp_pvalues(p):
-    """Clamp computed P-values into [MIN_PVALUE, 1.0]."""
-    return np.clip(np.asarray(p, dtype=float), MIN_PVALUE, 1.0)
+    """Clamp computed P-values into [MIN_PVALUE, 1.0]; a float when p is a scalar."""
+    out = np.clip(np.asarray(p, dtype=float), MIN_PVALUE, 1.0)
+    return float(out) if np.isscalar(p) else out

@@ -165,6 +165,28 @@ def test_malformed_cache_line_exits_3_naming_it(tmp_path, capsys):
             load_cache(path)
 
 
+def test_a_nan_quantile_record_exits_3_naming_it(tmp_path, capsys):
+    # No simulation writes a NaN quantile; at the parent such a record was a cache hit.
+    path = tmp_path / "c.jsonl"
+    append_cache_entry(path, CriticalValueEntry(100, 0.05, "plus", 0.5, 10**6, RngSeed(1), 3.5))
+    good = path.read_text()
+    path.write_text(good + good.replace('"value": 3.5', '"value": NaN'))
+    code, err = _calibrate_cache_only(capsys, path)
+    assert code == 3 and "row 2" in err and "NaN" in err and "Traceback" not in err
+    with pytest.raises(ValidationError, match="row 2"):
+        load_cache(path)
+
+
+def test_a_minus_infinity_quantile_stays_readable(tmp_path):
+    # HC+ at N = 1 and alpha0 = 1 scores an empty window, -inf, in every replicate.
+    path = tmp_path / "c.jsonl"
+    entry = simulate_critical(1, 0.05, "plus", 1.0, replicates=100, seed=1)
+    assert entry.quantile == -math.inf
+    append_cache_entry(path, entry)
+    assert "-Infinity" in path.read_text()
+    assert load_cache(path) == [entry]
+
+
 def test_unterminated_last_line_is_skipped(tmp_path):
     path = tmp_path / "c.jsonl"
     first = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5)
@@ -257,3 +279,13 @@ def test_level_alpha_test_entry_mismatch():
         level_alpha_test(grid, entry)
     ok = CriticalValueEntry(50, 0.05, "plus", 0.5, 1000, RngSeed(0), 3.2)
     assert level_alpha_test(grid, ok) == "retain"
+
+
+def test_level_alpha_test_refuses_a_nan_critical_value():
+    grid = PValueSeries(np.arange(1, 101) / 100.0)
+    nan_entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(0), math.nan)
+    for critical in (math.nan, np.float64("nan"), nan_entry):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            level_alpha_test(grid, critical)
+    assert level_alpha_test(grid, math.inf) == "retain"
+    assert level_alpha_test(grid, -math.inf) == "reject"

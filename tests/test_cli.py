@@ -695,7 +695,8 @@ def test_permtest_and_pairs_simulate_manifests_name_their_streams(labeled_file, 
                                               "rng_version": RNG_VERSION}
 
 
-@pytest.mark.parametrize("case", ["closed-after-one-line", "closed-before-any-write"])
+@pytest.mark.parametrize("case", ["closed-after-one-line", "closed-before-any-write",
+                                  "help", "version", "phase-help"])
 def test_closed_stdout_exits_141_without_an_error_line(case, pvals_file):
     # Block-buffered stdout, as in a shell: a large table fails inside dispatch, a
     # small one only at the final flush.
@@ -710,7 +711,10 @@ def test_closed_stdout_exits_141_without_an_error_line(case, pvals_file):
     else:
         read_end, write_end = os.pipe()
         os.close(read_end)
-        proc = subprocess.Popen([*cli, "score", "--input", pvals_file], env=env,
+        argv = {"closed-before-any-write": ["score", "--input", pvals_file],
+                "help": ["--help"], "version": ["--version"],
+                "phase-help": ["phase", "--help"]}[case]
+        proc = subprocess.Popen([*cli, *argv], env=env,
                                 stdout=write_end, stderr=subprocess.PIPE, text=True)
         os.close(write_end)
     err = proc.stderr.read()

@@ -266,6 +266,40 @@ def test_short_profile_record_names_its_line(tmp_path):
         load_profile(path, 3, 2)
 
 
+def test_non_finite_profile_record_names_its_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    save_profile(path, EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.2, 0.1]), 100,
+                                        RngSeed(7)))
+    good = path.read_text()
+    for old, new in (("[1.5, 0.5]", "[NaN, 0.5]"), ("[0.2, 0.1]", "[0.2, Infinity]"),
+                     ("[0.2, 0.1]", "[-Infinity, 0.1]")):
+        path.write_text(good + good.replace(old, new))
+        with pytest.raises(ValidationError, match="finite.*row 2"):
+            load_profile(path, 3, 2)
+
+
+@pytest.mark.parametrize("sds", [[0.0, 1.0], [1.0, -0.5], [np.nan, 1.0]],
+                         ids=["zero", "negative", "nan"])
+def test_eigen_hc_test_refuses_sds_that_are_not_all_positive(sds):
+    X = np.random.default_rng(3).standard_normal((30, 2))
+    profile = EigenNullProfile(30, 2, np.ones(2), np.array(sds), 100, RngSeed(0))
+    with pytest.raises(InvalidInputError, match="sds must all be positive"):
+        eigen_hc_test(X, profile)
+
+
+def test_cov_eigen_with_a_stored_zero_sd_exits_3(tmp_path, capsys):
+    # At the parent this printed score=-inf with an empty argmax_rank and exited 0.
+    path = tmp_path / "cache.jsonl"
+    save_profile(path, EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.0, 0.1]), 100,
+                                        RngSeed(7)))
+    data = tmp_path / "x.csv"
+    data.write_text("a,b\n1,2\n3,5\n4,4\n")
+    code = dispatch(["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed", "1",
+                     "--profile-cache", str(path), "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "sds must all be positive" in err
+
+
 def test_profiles_and_critical_values_share_a_file(tmp_path):
     path = tmp_path / "cache.jsonl"
     entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(1), 3.5)
