@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _streams, hct
 from .errors import InvalidInputError
 from .hc_core import (PValueSeries, _check_level, _check_mixture, _check_replicates,
                       _check_variant, _index_range, empirical_quantile, hc_plus,
                       hc_scores_sorted_batch, hc_star)
-from .numerics import MIN_PVALUE, RngSeed, as_generator, as_seed, clamp_pvalues
+from .numerics import MIN_PVALUE, RngSeed, as_generator, as_seed, clamp_pvalues, ndtr
 from .phase import PhasePoint
 
 __all__ = [

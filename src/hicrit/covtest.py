@@ -229,13 +229,15 @@ def eigen_hc_test(X, profile: EigenNullProfile, alpha0: float = 0.5) -> EigenHcR
     """Standardize each sorted eigenvalue of X'X/n by its null mean/SD and maximize.
 
     The max runs over the top max(1, floor(alpha0 * min(n, p))) ranks. Refuses
-    an X whose shape is not the profile's, a profile whose sds are not all
-    positive and alpha0 outside (0, 1].
+    an X whose shape is not the profile's, a profile whose means are not all
+    finite or whose sds are not all positive, and alpha0 outside (0, 1].
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (profile.n, profile.p):
         raise InvalidInputError(
             f"X has shape {X.shape}, profile was simulated for ({profile.n}, {profile.p})")
+    if not np.all(np.isfinite(profile.means)):
+        raise InvalidInputError("profile means must all be finite")
     if not np.all(profile.sds > 0.0):
         raise InvalidInputError("profile sds must all be positive")
     k_max = max(1, _floor_index(alpha0, profile.m))

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidInputError
-from .numerics import _freeze, binomial_kl_array
+from .numerics import _freeze, binomial_kl_array, logsumexp
 
 __all__ = [
     "PValueSeries",

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError
 from .hc_core import PValueSeries, _first_max, _floor_index, bh_fdr_select, hc_feature_scores
-from .numerics import _freeze, clamp_pvalues
+from .numerics import _freeze, clamp_pvalues, ndtr
 
 __all__ = [
     "LabeledMatrix",

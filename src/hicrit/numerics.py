@@ -4,6 +4,11 @@ The normal CDF goes through the complementary error function and the Student t
 CDF through the regularized incomplete beta, so both stay accurate deep in the
 tails (P-values down to ~1e-300 at millions of tests). All P-value producers
 clamp into [MIN_PVALUE, 1.0] because the HC objective divides by pi*(1-pi).
+
+This module is the package's one owner of scipy. It imports ``scipy.special``
+on first use, inside ``_special``: that import costs more than the rest of the
+package together, and the HC kernel, Berk-Jones, the HCT decision rule, the
+pair statistic and the phase table need no normal or t tail at all.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError
 
@@ -78,9 +82,30 @@ def _freeze(obj, **arrays) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def _special():
+    """scipy.special, imported on its first use in the process."""
+    from scipy import special
+    return special
+
+
+def ndtr(x):
+    """scipy.special.ndtr: Phi(x) with no argument check, for the package's hot paths."""
+    return _special().ndtr(x)
+
+
+def logsumexp(a):
+    """scipy.special.logsumexp: log(sum(exp(a))) without overflow."""
+    return _special().logsumexp(a)
+
+
+def _is_scalar(x) -> bool:
+    """The scalar rule's one test: a Python or NumPy scalar, or a 0-d array."""
+    return np.ndim(x) == 0
+
+
 def _elementwise(fn, x):
     """fn over x as a float array; a float when x is a scalar. Refuses NaN and inf."""
-    scalar = np.isscalar(x)
+    scalar = _is_scalar(x)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"x must be finite, got {x}" if scalar else "x must be finite")
@@ -90,7 +115,7 @@ def _elementwise(fn, x):
 
 def std_normal_cdf(x):
     """Phi(x) via erfc; vectorized, absolute error well below 1e-12."""
-    return _elementwise(special.ndtr, x)
+    return _elementwise(ndtr, x)
 
 
 def std_normal_sf(x):
@@ -103,7 +128,7 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidInputError(f"p must lie strictly inside (0, 1), got {p}")
-    return _elementwise(special.ndtri, p)
+    return _elementwise(_special().ndtri, p)
 
 
 def student_t_cdf(x, df: int):
@@ -116,7 +141,7 @@ def student_t_cdf(x, df: int):
         raise InvalidInputError(f"df must be >= 1, got {df}")
 
     def cdf(x):
-        tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
+        tail = 0.5 * _special().betainc(df / 2.0, 0.5, df / (df + x * x))
         return np.where(x >= 0, 1.0 - tail, tail)
 
     return _elementwise(cdf, x)
@@ -157,4 +182,4 @@ def binomial_kl_array(p0, p1):
 def clamp_pvalues(p):
     """Clamp computed P-values into [MIN_PVALUE, 1.0]; a float when p is a scalar."""
     out = np.clip(np.asarray(p, dtype=float), MIN_PVALUE, 1.0)
-    return float(out) if np.isscalar(p) else out
+    return float(out) if _is_scalar(p) else out

@@ -287,6 +287,16 @@ def test_eigen_hc_test_refuses_sds_that_are_not_all_positive(sds):
         eigen_hc_test(X, profile)
 
 
+@pytest.mark.parametrize("means", [[np.nan, np.nan], [np.inf, 1.0], [1.0, -np.inf]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_eigen_hc_test_refuses_means_that_are_not_all_finite(means):
+    # NaN means once gave score=-inf and argmax_rank=None instead of an error.
+    X = np.random.default_rng(3).standard_normal((30, 2))
+    profile = EigenNullProfile(30, 2, np.array(means), np.ones(2), 100, RngSeed(0))
+    with pytest.raises(InvalidInputError, match="means must all be finite"):
+        eigen_hc_test(X, profile)
+
+
 def test_cov_eigen_with_a_stored_zero_sd_exits_3(tmp_path, capsys):
     # At the parent this printed score=-inf with an empty argmax_rank and exited 0.
     path = tmp_path / "cache.jsonl"

@@ -1,8 +1,9 @@
-"""One scalar rule, owned by ``numerics``: a Python or NumPy scalar in gives a
-Python float out, and an array in gives an array of the input's shape.
-Callers such as ``covtest`` inherit the rule; no other module calls
-``np.isscalar``, which is checked statically as tests/test_zscore.py checks
-the z-score.
+"""One scalar rule, owned by ``numerics``: a Python or NumPy scalar or a 0-d
+array in gives a Python float out, and an array of one or more dimensions in
+gives an array of the input's shape. Callers such as ``covtest`` inherit the
+rule. Its one test, ``numerics._is_scalar``, is the only call of ``np.ndim``
+or ``np.isscalar`` in the package, which is checked statically as
+tests/test_zscore.py checks the z-score.
 """
 
 import ast
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from hicrit.covtest import pairwise_pvalue, rowmax_cdf, rowmax_pvalue
-from hicrit.numerics import clamp_pvalues, std_normal_quantile
+from hicrit.numerics import (clamp_pvalues, std_normal_cdf, std_normal_quantile, std_normal_sf,
+                             student_t_cdf, student_t_sf)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hicrit"
 
@@ -23,12 +25,17 @@ FUNCTIONS = {
     "rowmax_pvalue": lambda x: rowmax_pvalue(x, 10, 5),
     "std_normal_quantile": std_normal_quantile,
     "clamp_pvalues": clamp_pvalues,
+    "std_normal_cdf": std_normal_cdf,
+    "std_normal_sf": std_normal_sf,
+    "student_t_cdf": lambda x: student_t_cdf(x, 5),
+    "student_t_sf": lambda x: student_t_sf(x, 5),
 }
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)
-@pytest.mark.parametrize("x", [0.3, 1, np.float64(0.3), np.float32(0.3), np.int64(1)],
-                         ids=["float", "int", "float64", "float32", "int64"])
+@pytest.mark.parametrize("x", [0.3, 1, np.float64(0.3), np.float32(0.3), np.int64(1),
+                               np.array(0.3)],
+                         ids=["float", "int", "float64", "float32", "int64", "0d"])
 def test_a_scalar_gives_a_python_float(name, x):
     if name == "std_normal_quantile" and x == 1:
         x = 0.75  # the quantile's domain is (0, 1)
@@ -47,12 +54,13 @@ def test_an_array_gives_an_array_of_its_shape(name, shape):
     assert type(out_list) is np.ndarray and out_list.shape == shape
 
 
-def _isscalar_lines(tree):
+def _scalar_test_lines(tree):
     return {node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "isscalar"}
+            if isinstance(node, ast.Attribute) and node.attr in ("isscalar", "ndim")
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
 
 
-def test_isscalar_is_called_only_in_numerics():
+def test_the_scalar_test_is_made_only_in_numerics():
     sites = {(path.name, line) for path in sorted(SRC.glob("*.py"))
-             for line in _isscalar_lines(ast.parse(path.read_text(), filename=str(path)))}
-    assert sites and {name for name, _ in sites} == {"numerics.py"}, sorted(sites)
+             for line in _scalar_test_lines(ast.parse(path.read_text(), filename=str(path)))}
+    assert len(sites) == 1 and {name for name, _ in sites} == {"numerics.py"}, sorted(sites)
