@@ -10,6 +10,10 @@ and detect-sim the seed, streams, replicates and RNG version of its samples
 and where its critical value came from; permtest and pairs --simulate add the
 seed, first stream, replicates and RNG version of their draws.
 
+Workers: --threads caps the process-pool workers of calibrate and detect-sim.
+cov-eigen accepts it too, but always simulates its profile in one process, which
+meets any cap: each eigvalsh already runs on a multi-threaded BLAS (see covtest).
+
 Output order: each subcommand returns its summary, its tables and its
 provenance, and dispatch writes them in one order: every file first (the
 tables that have a path, then the --manifest file), then stdout in one
@@ -116,7 +120,9 @@ def _add_common(sub, seed=False, threads=False):
                          help="RNG seed (required: no wall-clock default)")
     if threads:
         sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker cap for Monte Carlo (results do not depend on it)")
+                         help="worker cap for the Monte Carlo of calibrate and detect-sim; "
+                              "cov-eigen's profile always uses one process (results do not "
+                              "depend on it)")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +252,7 @@ def _cmd_cov_eigen(args):
     # before the profile is simulated and stored.
     _floor_index(args.alpha0, 1)
     profile = covtest.eigen_null_profile_cached(n, p, args.null_reps, args.seed,
-                                                cache_path=args.profile_cache or _default_cache(),
-                                                n_jobs=args.threads)
+                                                cache_path=args.profile_cache or _default_cache())
     res = covtest.eigen_hc_test(data, profile, args.alpha0)
     tables = []
     if args.trace:

@@ -13,7 +13,8 @@ from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, empirical_
                               simulate_critical, simulate_null_scores)
 from hicrit.cli import dispatch
 from hicrit.covtest import (EigenNullProfile, eigen_hc_test, eigen_null_profile,
-                            eigen_null_profile_cached, make_spiked_sigma, save_profile)
+                            eigen_null_profile_cached, make_spiked_sigma, sample_gaussian,
+                            save_profile)
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import (PValueSeries, avg_likelihood_ratio, empirical_cdf_on_grid,
                             gof_empirical, gof_theoretical, hc_at_level, hc_plus,
@@ -252,9 +253,12 @@ def test_simulate_pair_scores_checks_alpha0_before_drawing():
     lambda: std_normal_quantile(float("nan")),
     lambda: student_t_cdf(0.5, float("nan")),
     lambda: student_t_sf(0.5, float("nan")),
+    lambda: sample_gaussian(5, [[float("nan"), 0.0], [0.0, 1.0]]),
+    lambda: eigen_hc_test(np.full_like(X, np.nan), PROFILE),
 ], ids=["ArwParams.r", "PhasePoint.r", "ideal_fdr.r", "make_spiked_sigma.h",
         "pair_hc_star.min_expected", "detection_experiment.critical",
-        "std_normal_quantile.p", "student_t_cdf.df", "student_t_sf.df"])
+        "std_normal_quantile.p", "student_t_cdf.df", "student_t_sf.df",
+        "sample_gaussian.sigma", "eigen_hc_test.X"])
 def test_nan_is_refused_by_range_checks(build):
     with pytest.raises(InvalidInputError):
         build()

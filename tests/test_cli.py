@@ -596,6 +596,29 @@ def test_detect_sim_streams_share_one_pool(capsys, monkeypatch):
     assert output_lines(pooled) == output_lines(in_process)
 
 
+def test_cov_eigen_runs_its_profile_in_one_process(tmp_path, capsys, monkeypatch):
+    # 16 stream blocks of 40 x 30 draws, 1.2M elements: above the pool's work
+    # threshold, yet no worker cap starts a pool for the profile.
+    assert 1000 * 40 * 30 >= _streams._POOL_MIN_ELEMS
+    X = np.random.default_rng(6).standard_normal((40, 30))
+    data = tmp_path / "x.csv"
+    data.write_text(",".join(f"v{j}" for j in range(30)) + "\n" + "\n".join(
+        ",".join(f"{v:.9g}" for v in row) for row in X) + "\n")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("cov-eigen started a process pool")
+
+    monkeypatch.setattr(_streams, "ProcessPoolExecutor", no_pool)
+    lines = []
+    for k, threads in enumerate((["--threads", "1"], ["--threads", "2"], [])):
+        code, out, err = run(capsys, "cov-eigen", "--input", str(data), "--null-reps", "1000",
+                             "--seed", "7", "--profile-cache", str(tmp_path / f"p{k}.jsonl"),
+                             *threads)
+        assert code == 0, err
+        lines.append(output_lines(out))
+    assert lines[1] == lines[0] and lines[2] == lines[0]
+
+
 @pytest.mark.parametrize("alpha0", ["0", "nan"])
 def test_cov_eigen_checks_alpha0_before_its_profile(alpha0, tmp_path, capsys, monkeypatch):
     def no_simulation(*args, **kwargs):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hicrit import _store, _streams
+from hicrit import _store
 from hicrit.calibrate import CriticalValueEntry, append_cache_entry, load_cache
 from hicrit.cli import dispatch
-from hicrit.covtest import (EigenNullProfile, clique_test, correlation_summary,
+from hicrit.covtest import (EigenNullProfile, _profile_batch, clique_test, correlation_summary,
                             eigen_hc_test, eigen_null_profile, eigen_null_profile_cached,
                             haar_orthogonal, load_profile, make_clique_sigma,
                             make_spiked_sigma, pairwise_pvalue, rowmax_cdf, rowmax_pvalue,
@@ -180,6 +180,15 @@ def test_eigen_hc_dimension_mismatch():
         eigen_hc_test(np.zeros((30, 21)), profile)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "minus-inf"])
+def test_eigen_hc_test_refuses_a_non_finite_x(value):
+    X = np.random.default_rng(8).standard_normal((6, 4))
+    X[2, 1] = value
+    profile = EigenNullProfile(6, 4, np.ones(4), np.ones(4), 100, RngSeed(0))
+    with pytest.raises(InvalidInputError, match="X must not contain NaN or Inf"):
+        eigen_hc_test(X, profile)
+
+
 def test_eigen_orthogonal_invariance_quick():
     rng = np.random.default_rng(9)
     profile = eigen_null_profile(40, 40, replicates=100, seed=10)
@@ -188,6 +197,17 @@ def test_eigen_orthogonal_invariance_quick():
     q = haar_orthogonal(40, seed=11)
     rotated = eigen_hc_test(X @ q, profile)
     np.testing.assert_allclose(rotated.components, base.components, atol=1e-8)
+
+
+@pytest.mark.parametrize("sigma, message", [
+    (-np.eye(2), "positive definite"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ([[1.0, 0.9], [0.0, 1.0]], "symmetric"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "NaN or Inf"),
+], ids=["negative-definite", "indefinite", "asymmetric", "inf"])
+def test_sample_gaussian_refuses_a_sigma_that_is_not_a_covariance(sigma, message):
+    with pytest.raises(InvalidInputError, match=message):
+        sample_gaussian(5, sigma, seed=0)
 
 
 def test_make_spiked_sigma():
@@ -350,10 +370,12 @@ def test_store_round_trip_over_the_full_seed_range(seeds, quantile, means, sds):
         assert _store.provenance(stored.replicates, stored.seed, stored.rng_version) == expected
 
 
-def test_profile_determinism_and_jobs(monkeypatch):
-    # Two stream blocks, on a real pool at n_jobs = 2 with the work threshold off.
-    monkeypatch.setattr(_streams, "_POOL_MIN_ELEMS", 0)
+def test_profile_determinism():
+    # Two stream blocks: block k draws Philox stream k, and a rerun repeats it.
     a = eigen_null_profile(15, 10, replicates=128, seed=14)
-    b = eigen_null_profile(15, 10, replicates=128, seed=14, n_jobs=2)
-    np.testing.assert_array_equal(a.means, b.means)
-    np.testing.assert_array_equal(a.sds, b.sds)
+    b = eigen_null_profile(15, 10, replicates=128, seed=14)
+    eigs = np.concatenate([_profile_batch((15, 10), 64, RngSeed(14, k).generator())
+                           for k in (0, 1)])
+    for profile in (a, b):
+        np.testing.assert_array_equal(profile.means, eigs.mean(axis=0))
+        np.testing.assert_array_equal(profile.sds, eigs.std(axis=0, ddof=1))
