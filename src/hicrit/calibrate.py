@@ -132,8 +132,8 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     touching the cache. Hits require an exact (N, alpha, variant, alpha0)
     match; among those, ``_store.best`` picks the hit. A hit is returned
     whatever ``seed`` asks for: the entry names the seed that produced it.
-    N, alpha, variant, alpha0 and replicates are checked before the cache is
-    read, under every policy.
+    N, alpha, variant, alpha0, replicates and seed are checked before the cache
+    is read, under every policy.
     """
     if policy not in ("cache_only", "simulate_if_missing", "gumbel_fallback"):
         raise InvalidInputError(f"unknown policy {policy!r}")
@@ -141,6 +141,7 @@ def resolve_critical(N: int, alpha: float, variant: str = "plus",
     _index_range(alpha0, N)
     _check_level(alpha)
     _check_replicates(replicates)
+    seed = as_seed(seed)
     wanted = (N, float(alpha), variant, float(alpha0))
     hit = _store.best([e for e in (load_cache(cache_path) if cache_path else [])
                        if (e.N, e.alpha, e.variant, e.alpha0) == wanted], replicates)

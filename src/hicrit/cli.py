@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -296,6 +297,7 @@ def _cmd_phase(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hicrit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -436,6 +438,14 @@ def _usage_problems(args):
 
 
 def dispatch(argv) -> int:
+    """Run one CLI request in this process and return its exit code.
+
+    The parser is built once per process, on the first call: building all 11
+    subparsers takes about 2 ms, most of an in-process cache-hit calibrate.
+    Reuse is safe because each call's values live in the parsed Namespace and
+    HICRIT_CACHE, stdout and stderr are read at call time. The build stays
+    lazy, not done at import, so ``import hicrit.cli`` pays nothing for it.
+    """
     code, out = EXIT_OK, io.StringIO()
     try:
         try:

@@ -324,9 +324,10 @@ def load_profile(path, n: int, p: int, min_replicates: int = 1) -> Optional[Eige
 
 def eigen_null_profile_cached(n: int, p: int, replicates: int, seed=0,
                               cache_path=None) -> EigenNullProfile:
-    """Load a cached profile or simulate one and store it; replicates are checked
-    before the cache is read."""
+    """Load a cached profile or simulate one and store it; replicates and seed are
+    checked before the cache is read."""
     _check_replicates(replicates)
+    seed = as_seed(seed)
     if cache_path:
         hit = load_profile(cache_path, n, p, min_replicates=replicates)
         if hit is not None:

@@ -206,18 +206,60 @@ def test_replicate_rule_comes_before_the_cache_read(stored, policy, replicates):
         eigen_null_profile_cached(6, 4, replicates, cache_path=stored)
 
 
-def test_replicate_rule_exit_code_does_not_depend_on_the_cache(stored, tmp_path, capsys):
+@pytest.fixture
+def matrix_file(tmp_path):
+    """A 6 x 4 sample matrix, the shape of the stored profile."""
     data = tmp_path / "m.csv"
     data.write_text("a,b,c,d\n" + "\n".join(",".join(str((i * j) % 5 + j) for j in range(4))
                                              for i in range(6)) + "\n")
+    return str(data)
+
+
+def test_replicate_rule_exit_code_does_not_depend_on_the_cache(stored, matrix_file, tmp_path,
+                                                                capsys):
     empty = str(tmp_path / "empty.jsonl")
     for cache in (stored, empty):
         for argv in (["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "50",
                       "--seed", "1", "--threads", "1", "--cache", cache],
-                     ["cov-eigen", "--input", str(data), "--null-reps", "5", "--seed", "1",
+                     ["cov-eigen", "--input", matrix_file, "--null-reps", "5", "--seed", "1",
                       "--threads", "1", "--profile-cache", cache]):
             assert dispatch(argv) == 3, (argv, cache)
             assert "need replicates >= 100" in capsys.readouterr().err
+
+
+BAD_SEEDS = {"negative": (-1, "64-bit unsigned"),
+             "above-64-bits": (99999999999999999999999, "64-bit unsigned"),
+             "generator": (np.random.default_rng(0), "not a Generator")}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("bad", BAD_SEEDS)
+def test_seed_rule_comes_before_the_cache_read(stored, tmp_path, policy, bad):
+    # The stored entries would hit and an empty store would fall back to Gumbel:
+    # neither may decide whether the seed is accepted.
+    seed, message = BAD_SEEDS[bad]
+    for cache in (stored, str(tmp_path / "empty.jsonl")):
+        with pytest.raises(InvalidInputError, match=message):
+            resolve_critical(100, 0.05, "plus", policy, replicates=200, seed=seed,
+                             cache_path=cache)
+        with pytest.raises(InvalidInputError, match=message):
+            eigen_null_profile_cached(6, 4, 200, seed, cache_path=cache)
+
+
+@pytest.mark.parametrize("seed", ["-1", "99999999999999999999999"])
+def test_seed_rule_exit_code_does_not_depend_on_the_cache(stored, matrix_file, tmp_path, seed,
+                                                         capsys):
+    empty = str(tmp_path / "empty.jsonl")
+    for cache in (stored, empty):
+        runs = [["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200", "--seed", seed,
+                 "--threads", "1", "--cache", cache, "--policy", policy] for policy in POLICIES]
+        runs.append(["cov-eigen", "--input", matrix_file, "--null-reps", "200", "--seed", seed,
+                     "--threads", "1", "--profile-cache", cache])
+        for argv in runs:
+            assert dispatch(argv) == 3, (argv, cache)
+            captured = capsys.readouterr()
+            assert "seed must be a 64-bit unsigned integer" in captured.err
+            assert captured.out == ""
 
 
 SEED_ENTRY_POINTS = {

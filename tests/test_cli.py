@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,10 @@ import pytest
 from scipy.special import logsumexp
 
 from hicrit import _streams
+from hicrit.calibrate import CriticalValueEntry, append_cache_entry
 from hicrit.cli import dispatch
 from hicrit.covtest import make_clique_sigma, sample_gaussian
-from hicrit.numerics import RNG_VERSION
+from hicrit.numerics import RNG_VERSION, RngSeed
 
 
 def run(capsys, *argv):
@@ -843,3 +845,48 @@ def test_a_failed_table_write_prints_nothing_on_stdout(argv, labeled_file, pvals
     assert code == 3
     assert err.startswith("error: ") and target in err, err
     assert out == ""
+
+
+def test_no_state_carries_over_between_dispatches(tmp_path, capsys, monkeypatch):
+    # Each step of one interpreter must print what its argv prints as the first
+    # dispatch of a fresh process, whatever ran before it in this one.
+    pairs = tmp_path / "pairs.csv"
+    rng = np.random.default_rng(9)
+    pairs.write_text("x,y\n" + "\n".join(f"{a:.9g},{b:.9g}" for a, b in
+                                          rng.standard_normal((40, 2))) + "\n")
+    stores = {}
+    for name, quantile in (("a", 3.0), ("b", 4.0)):
+        stores[name] = tmp_path / name
+        stores[name].mkdir()
+        append_cache_entry(str(stores[name] / "cache.jsonl"), CriticalValueEntry(
+            100, 0.05, "plus", 0.5, 200, RngSeed(1), quantile))
+    calibrate = ["calibrate", "--n", "100", "--alpha", "0.05", "--reps", "200", "--seed", "3"]
+    steps = [(None, ["calibrate", "--n", "100"]), (None, ["--help"]), (None, ["--version"]),
+             (None, ["phase", "--help"]),
+             (None, calibrate + ["--variant", "star", "--alpha0", "0.3",
+                                 "--policy", "gumbel_fallback"]),
+             (None, calibrate),
+             (None, ["pairs", "--simulate", "--n", "60", "--epsilon", "0.1", "--tau", "1",
+                     "--reps", "5", "--seed", "2"]),
+             (None, ["pairs", "--input", str(pairs)]),
+             ("a", calibrate + ["--threads", "1", "--policy", "cache_only"]),
+             ("b", calibrate + ["--threads", "1", "--policy", "cache_only"])]
+
+    def masked(text):
+        return re.sub(r'"duration_s": [^,}]+', '"duration_s": _', text)
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for store, argv in steps:
+        env = {k: v for k, v in os.environ.items() if k != "HICRIT_CACHE"}
+        monkeypatch.delenv("HICRIT_CACHE", raising=False)
+        if store is not None:
+            env["HICRIT_CACHE"] = str(stores[store])
+            monkeypatch.setenv("HICRIT_CACHE", env["HICRIT_CACHE"])
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "hicrit.cli", *argv],
+                               env=dict(env, PYTHONPATH=src), capture_output=True, text=True,
+                               timeout=120)
+        assert (code, masked(out), err) == (fresh.returncode, masked(fresh.stdout),
+                                            fresh.stderr), argv
+    # The two stores were read in turn, not the first one twice.
+    assert "critical=4 source=cache" in out

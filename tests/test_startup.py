@@ -1,4 +1,5 @@
-"""Start-up cost: scipy loads only when a request calls into it.
+"""Start-up cost: scipy loads only when a request calls into it, and the CLI
+parser is built once per process, on the first dispatch.
 
 Each test runs in a fresh interpreter, since the test process itself has
 imported scipy long before.
@@ -112,3 +113,49 @@ def test_pooled_workers_of_a_fresh_process_match_one_process():
     assert seen_alone["pools"] == [] and seen_pooled["pools"] == [2]
     assert pooled.splitlines()[0] == alone.splitlines()[0]
     assert pooled.splitlines()[0].startswith("power=")
+
+
+# Counts the ArgumentParser constructions (the top parser and each subparser)
+# after import and after each dispatch of the argv lists in argv[1], and
+# reports the counts and the exit codes on stderr's last line.
+PARSER_COUNT = """
+import argparse, json, sys
+
+counts, codes = [0], []
+construct = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    counts[-1] += 1
+    construct(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+from hicrit.cli import dispatch
+
+for argv in json.loads(sys.argv[1]):
+    counts.append(counts[-1])
+    codes.append(dispatch(argv))
+sys.stderr.write("\\n" + json.dumps({"counts": counts, "codes": codes}))
+"""
+
+
+def parser_counts(*argvs):
+    proc = fresh(PARSER_COUNT, json.dumps(argvs))
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_import_builds_no_parser():
+    assert parser_counts()["counts"] == [0]
+
+
+def test_dispatch_builds_the_parser_once():
+    phase = ["phase", "--theta", "0.2", "--grid", "3"]
+    argvs = [["calibrate", "--n", "100"], ["--help"], phase, ["--version"], ["phase", "--help"],
+             ["pairs", "--simulate"], phase, ["calibrate", "--help"], phase]
+    seen = parser_counts(*argvs)
+    assert seen["codes"] == [2, 0, 0, 0, 0, 2, 0, 0, 0]
+    # The first dispatch (a usage error) builds the whole tree; no later one builds any.
+    counts = seen["counts"]
+    assert counts[0] == 0 and counts[1] > 1
+    assert counts[1:] == [counts[1]] * len(argvs), counts
