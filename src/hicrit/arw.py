@@ -8,9 +8,11 @@ the floor(alpha0*N) smallest P-values, the ones the HC kernel reads, are made
 at all: a Binomial(N, epsilon) count of nonnulls, Renyi's representation for
 the smallest null P-values, and ndtr on the nonnulls alone. The experiment's
 null, alternative and calibration streams share one stream-runner pool. A
-permutation scheme (independent row shuffles per column, on the stream
-runner) supplies P-values for HC scores on real labeled matrices; a shuffle
-whose feature scores are degenerate scores +inf.
+label-permutation test (whole rows keep their values, the labels are
+shuffled; batches of shuffles scored in one kernel on the stream runner)
+supplies P-values for HC scores on real labeled matrices, valid when the
+features are correlated; a shuffle whose feature scores are degenerate scores
++inf.
 
 Seeds: each Monte Carlo entry point takes an int or an RngSeed and reads it once
 through ``numerics.as_seed`` as ``base`` (an int seed is stream 0); block k of a
@@ -55,6 +57,12 @@ STREAM_BLOCK = 512
 _NULL_STREAMS = 0
 _ALT_STREAMS = 1 << 20
 _CALIB_STREAMS = 1 << 21
+
+# A shuffle's pooled within-class sum of squares at most this fraction of the
+# feature's total sum of squares counts as zero. tot - (n1 m1^2 + n2 m2^2) leaves a
+# rounding residue of about n*eps*tot, not 0, when a feature is constant within
+# each class; 1e-10 covers that residue up to n ~ 4e5 samples.
+_ZERO_SS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -129,12 +137,17 @@ def pvalues_one_sided(x) -> PValueSeries:
     return PValueSeries(np.sort(clamp_pvalues(ndtr(-x))))
 
 
+def _sorted_pvalues_two_sided(z: np.ndarray) -> np.ndarray:
+    """Two-sided P-values 2(1 - Phi(|z|)), clamped, ascending along each row of z."""
+    return np.sort(clamp_pvalues(2.0 * ndtr(-np.abs(z))), axis=-1)
+
+
 def pvalues_two_sided(x) -> PValueSeries:
     """Two-sided P-values 2(1 - Phi(|x_i|)), sorted ascending."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x must be finite")
-    return PValueSeries(np.sort(clamp_pvalues(2.0 * ndtr(-np.abs(x)))))
+    return PValueSeries(_sorted_pvalues_two_sided(x))
 
 
 def _null_window(b: int, n, k: int, rng, out: np.ndarray) -> None:
@@ -288,34 +301,64 @@ class PermutationTestResult:
 
 
 def _shuffle_batch(params, b: int, rng) -> np.ndarray:
-    matrix, variant, alpha0 = params
-    data = matrix.data
-    scores = np.empty(b)
-    for j in range(b):
-        perm = np.argsort(rng.random(data.shape), axis=0)
-        shuffled = hct.LabeledMatrix(np.take_along_axis(data, perm, axis=0),
-                                     matrix.labels, matrix.feature_names)
-        try:
-            scores[j] = _matrix_hc_score(shuffled, variant, alpha0)
-        except InvalidInputError:
-            # A shuffle keeps the labels and values the original passed with, so only
-            # the zero pooled variance and zero spread rules can refuse it.
-            scores[j] = np.inf
+    """HC scores of b label permutations of one matrix, in one batch.
+
+    Each shuffle argsorts one row of n uniform keys into a permutation of the
+    labels. Both class means of all b shuffles come from (b x n) . (n x p)
+    products on the column-centred data, and the pooled within-class sum of
+    squares is tot - (n1 m1^2 + n2 m2^2), tot being the column sums of squares.
+    The two classes are treated alike, so labels and -labels score bit-equal.
+    A shuffle with a degenerate feature (_ZERO_SS) or zero spread scores +inf.
+    """
+    centred, tot, labels, variant, alpha0 = params
+    n = centred.shape[0]
+    shuffled = labels[np.argsort(rng.random((b, n)), axis=1)]
+    n1 = int(np.count_nonzero(labels == 1))
+    n2 = n - n1
+    m1 = (shuffled == 1).astype(float) @ centred
+    m1 /= n1
+    m2 = (shuffled == -1).astype(float) @ centred
+    m2 /= n2
+    raw = m1 - m2
+    # n1 m1^2 + n2 m2^2, into m1: the two terms are formed alike and added first.
+    m1 *= m1
+    m1 *= n1
+    m2 *= m2
+    m2 *= n2
+    m1 += m2
+    within = np.subtract(tot, m1, out=m1)
+    degenerate = np.any(within <= _ZERO_SS * tot, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        within /= n - 2
+        s = np.sqrt(within, out=within)
+        s *= math.sqrt(1.0 / n1 + 1.0 / n2)
+        raw /= s
+        shift = raw.mean(axis=1, keepdims=True)
+        scale = raw.std(axis=1, ddof=1, keepdims=True)
+        raw -= shift
+        raw /= scale
+    degenerate |= scale[:, 0] <= 0.0
+    scores = hc_scores_sorted_batch(_sorted_pvalues_two_sided(raw), variant, alpha0)
+    scores[degenerate] = np.inf
     return scores
 
 
 def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
                      alpha0: float = 0.5) -> PermutationTestResult:
-    """Shuffle-based P-value for the HC score of a labeled matrix.
+    """Label-permutation P-value for the HC score of a labeled matrix.
 
-    Each shuffle permutes the rows of every column independently, washing out
-    any label-feature alignment; the standardized Z-scores and the HC score
-    are recomputed per shuffle. The returned P-value is the add-one estimator
+    Each shuffle permutes the labels and keeps every row whole, so under H0
+    (labels independent of the features) a shuffled matrix has the original's
+    law whatever the correlation among features (Westfall & Young 1993). The
+    standardized Z-scores and the HC score are recomputed per shuffle, a batch
+    of shuffles in one kernel. The returned P-value is the add-one estimator
     (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0. A
-    shuffle that leaves some feature with zero pooled within-class variance, or
-    the feature scores with zero spread, has no score and counts as +inf, at
-    least as extreme as the original, so the P-value stays conservative; the
-    original matrix itself is refused in that case.
+    shuffle has no score and counts as +inf, at least as extreme as the
+    original, so the P-value stays conservative, when some feature's pooled
+    within-class sum of squares is at most 1e-10 of its total sum of squares
+    (zero up to rounding: the feature is constant within each class) or the
+    feature scores have zero spread; the original matrix itself is refused
+    when a pooled variance or the spread is exactly 0.
     Shuffles run on the stream runner in this process, one stream per
     STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed. A variant other
     than 'star' or 'plus' is refused before any shuffle.
@@ -325,7 +368,10 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     _check_variant(variant)
     original = _matrix_hc_score(matrix, variant, alpha0)
     base = as_seed(seed)
-    scores = _streams.run(_shuffle_batch, (matrix, variant, alpha0), shuffles,
-                          STREAM_BLOCK, matrix.data.size, base, 1)
+    centred = matrix.data - matrix.data.mean(axis=0)
+    params = (centred, np.square(centred).sum(axis=0), matrix.labels, variant, alpha0)
+    # At its peak the kernel holds about five rows of n or of p elements per shuffle.
+    scores = _streams.run(_shuffle_batch, params, shuffles, STREAM_BLOCK,
+                          5 * sum(centred.shape), base, 1)
     exceed = int(np.sum(scores >= original))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)

@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, seed=True, threads=True)
     s.set_defaults(func=_cmd_detect_sim)
 
-    s = subs.add_parser("permtest", help="shuffle P-value for a labeled matrix's HC score")
+    s = subs.add_parser("permtest",
+                        help="label-permutation P-value for a labeled matrix's HC score")
     s.add_argument("--input", required=True)
     s.add_argument("--shuffles", type=int, required=True)
     s.add_argument("--variant", choices=["star", "plus"], default="plus")

@@ -22,8 +22,11 @@ from .errors import InvalidInputError
 # Lower clamp for P-values; keeps log() and the HC denominator finite.
 MIN_PVALUE = 1e-300
 
-# Recorded in cache files: changing the generator invalidates stored quantiles.
-RNG_VERSION = "philox4x64-v2"
+# Recorded in cache files and manifests: changing what a seed draws invalidates
+# stored values. v3: permtest shuffles the labels (one argsorted key row per
+# shuffle) instead of every column, so its shuffle scores for a seed differ from
+# v2; stored critical values and eigen profiles miss once and are simulated again.
+RNG_VERSION = "philox4x64-v3"
 
 
 @dataclass(frozen=True)

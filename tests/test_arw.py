@@ -6,10 +6,11 @@ from scipy.stats import ks_2samp
 
 from scipy.special import ndtr
 
-from hicrit import _streams
+from hicrit import _streams, arw
 from hicrit.arw import (ArwParams, STREAM_BLOCK, detection_experiment, permutation_test,
-                        pvalues_one_sided, pvalues_two_sided, sample_mixture, _mixture_batch,
-                        _mixture_job, _ALT_STREAMS, _CALIB_STREAMS, _NULL_STREAMS)
+                        pvalues_one_sided, pvalues_two_sided, sample_mixture, _matrix_hc_score,
+                        _mixture_batch, _mixture_job, _ALT_STREAMS, _CALIB_STREAMS,
+                        _NULL_STREAMS)
 from hicrit.calibrate import simulate_critical, simulate_null_scores
 from hicrit.errors import InvalidInputError
 from hicrit.hc_core import _index_range, hc_scores_sorted_batch
@@ -386,6 +387,79 @@ def test_permutation_result_is_invariant_to_negated_labels(seed, variant):
     b = permutation_test(negated, shuffles=99, seed=seed, variant=variant)
     assert (a.pvalue, a.original_score) == (b.pvalue, b.original_score)
     np.testing.assert_array_equal(a.shuffle_scores, b.shuffle_scores)
+
+
+def _shuffled_labels(labels, shuffles, seed):
+    # The labels of each shuffle: one row of uniform keys per shuffle, argsorted (one stream).
+    return labels[np.argsort(RngSeed(seed).generator().random((shuffles, labels.size)), axis=1)]
+
+
+@pytest.mark.parametrize("variant", ["plus", "star"])
+def test_permutation_scores_a_labeling_constant_within_classes_inf(variant):
+    # 3 rows in class +1, 4 in class -1; g0 is 1.3 on rows 0, 2, 4 and 0.3 elsewhere, so
+    # the one labeling of C(7, 3) = 35 that puts class +1 on rows 0, 2, 4 leaves g0
+    # constant within both classes. The values are not dyadic: there the per-shuffle sum
+    # of squares is exactly 0, but the kernel's tot - (n1 m1^2 + n2 m2^2) leaves a
+    # positive rounding residue, which only the relative tolerance (_ZERO_SS) catches.
+    data = np.random.default_rng(0).standard_normal((7, 20))
+    data[:, 0] = [1.3, 0.3, 1.3, 0.3, 1.3, 0.3, 0.3]
+    labels = np.repeat([1, -1], [3, 4])
+    res = permutation_test(LabeledMatrix(data, labels), shuffles=300, seed=5, variant=variant)
+    aligned = np.all(_shuffled_labels(labels, 300, 5)[:, [0, 2, 4]] == 1, axis=1)
+    assert aligned.any()
+    assert np.all(res.shuffle_scores[aligned] == np.inf)
+    assert np.all(np.isfinite(res.shuffle_scores[~aligned]))
+
+
+@pytest.mark.parametrize("variant", ["plus", "star"])
+@pytest.mark.parametrize("sizes", [(30, 30), (25, 35)], ids=["balanced", "unbalanced"])
+def test_batched_shuffle_scores_match_the_relabeled_matrix(sizes, variant):
+    rng = np.random.default_rng(54)
+    labels = np.repeat([1, -1], sizes)
+    data = rng.standard_normal((60, 300))
+    data[labels == 1, :10] += 0.8
+    res = permutation_test(LabeledMatrix(data, labels), shuffles=100, seed=4, variant=variant)
+    expected = [_matrix_hc_score(LabeledMatrix(data, shuffled), variant, 0.5)
+                for shuffled in _shuffled_labels(labels, 100, 4)]
+    np.testing.assert_allclose(res.shuffle_scores, expected, rtol=1e-12, atol=0)
+
+
+def test_permutation_scores_each_stream_block_in_one_kernel_call(monkeypatch):
+    # STREAM_BLOCK + 1 shuffles are two stream blocks, each one batch: one ndtr and one
+    # HC kernel call per batch, plus the original score's ndtr call.
+    calls = {"ndtr": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arw, "ndtr", counted("ndtr", arw.ndtr))
+    monkeypatch.setattr(arw, "hc_scores_sorted_batch",
+                        counted("kernel", arw.hc_scores_sorted_batch))
+    res = permutation_test(_noise_matrix(np.random.default_rng(55)), STREAM_BLOCK + 1, seed=6)
+    assert res.shuffle_scores.shape == (STREAM_BLOCK + 1,)
+    assert calls == {"ndtr": 3, "kernel": 2}
+
+
+def test_permutation_size_holds_for_correlated_features():
+    # No signal; n = 40 (20 per class), p = 400 in blocks of 5 features sharing one
+    # factor of correlation 0.8. Permuted labels stay exchangeable under this
+    # correlation; shuffling each column on its own rejected 0.107 and 0.170 here.
+    n, p, rho, datasets = 40, 400, 0.8, 300
+    labels = np.repeat([1, -1], n // 2)
+    pvals = []
+    for s in range(datasets):
+        rng = np.random.default_rng(10_000 + s)
+        factor = rng.standard_normal((n, p // 5))
+        noise = rng.standard_normal((n, p))
+        data = math.sqrt(rho) * np.repeat(factor, 5, axis=1) + math.sqrt(1.0 - rho) * noise
+        pvals.append(permutation_test(LabeledMatrix(data, labels), shuffles=99, seed=s).pvalue)
+    pvals = np.array(pvals)
+    for level in (0.05, 0.10):
+        se = math.sqrt(level * (1.0 - level) / datasets)
+        assert abs(np.mean(pvals <= level) - level) <= 3.0 * se, level
 
 
 def test_permutation_rejects_degenerate_matrix():

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from hicrit import _store
-from hicrit.calibrate import CriticalValueEntry, append_cache_entry, load_cache
+from hicrit.calibrate import (CriticalValueEntry, append_cache_entry, load_cache,
+                              resolve_critical)
 from hicrit.cli import dispatch
 from hicrit.covtest import (EigenNullProfile, _profile_batch, clique_test, correlation_summary,
                             eigen_hc_test, eigen_null_profile, eigen_null_profile_cached,
                             haar_orthogonal, load_profile, make_clique_sigma,
                             make_spiked_sigma, pairwise_pvalue, rowmax_cdf, rowmax_pvalue,
                             sample_gaussian, save_profile)
-from hicrit.errors import InvalidInputError, ValidationError
+from hicrit.errors import CacheMissError, InvalidInputError, ValidationError
 from hicrit.numerics import RNG_VERSION, RngSeed
 
 import oracles
@@ -273,6 +274,27 @@ def test_legacy_profile_csv_exits_3(tmp_path, capsys):
                      "--profile-cache", str(path), "--threads", "1"])
     err = capsys.readouterr().err
     assert code == 3 and "row 1" in err and "delete the file" in err
+
+
+def test_values_stored_under_the_previous_rng_version_are_misses(tmp_path):
+    # philox4x64-v3 changed the permutation test's draws; a well-formed v2 record is
+    # neither refused nor a hit: it misses, and the value is simulated and stored again.
+    assert RNG_VERSION == "philox4x64-v3"
+    path = str(tmp_path / "cache.jsonl")
+    append_cache_entry(path, CriticalValueEntry(100, 0.05, "plus", 0.5, 10**6, RngSeed(1), 3.5,
+                                                rng_version="philox4x64-v2"))
+    save_profile(path, EigenNullProfile(12, 8, np.full(8, 9.0), np.full(8, 0.5), 10**6,
+                                        RngSeed(1), rng_version="philox4x64-v2"))
+    with pytest.raises(CacheMissError):
+        resolve_critical(100, 0.05, "plus", "cache_only", replicates=200, cache_path=path)
+    value, source, entry = resolve_critical(100, 0.05, "plus", "simulate_if_missing",
+                                            replicates=200, seed=1, cache_path=path)
+    assert source == "simulated" and entry.rng_version == RNG_VERSION and value != 3.5
+    assert load_profile(path, 12, 8) is None
+    profile = eigen_null_profile_cached(12, 8, 100, seed=1, cache_path=path)
+    assert profile.rng_version == RNG_VERSION and not np.any(profile.means == 9.0)
+    assert [e.rng_version for e in load_cache(path)] == ["philox4x64-v2", RNG_VERSION]
+    assert load_profile(path, 12, 8).means.tolist() == profile.means.tolist()
 
 
 def test_short_profile_record_names_its_line(tmp_path):
