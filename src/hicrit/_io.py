@@ -38,9 +38,10 @@ def _parse_cell(text: str, row: int, column: str) -> float:
 
 @contextlib.contextmanager
 def open_text(path, **kwargs):
-    """``open(path, **kwargs)`` for reading text; a decode error while the
-    block reads raises ValidationError naming the file."""
-    with open(path, **kwargs) as fh:
+    """``open(path, **kwargs)`` for reading UTF-8 text whatever the locale; a
+    leading byte-order mark (Excel's "CSV UTF-8") is dropped, and a decode error
+    while the block reads raises ValidationError naming the file."""
+    with open(path, encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -59,6 +60,14 @@ def _read_table(path):
         data = list(rows)
     line, header = first
     return [h.strip() for h in header], line, data
+
+
+def _column(header, name, line) -> int:
+    """Index of ``name`` in the header; a header holding it twice is refused."""
+    if header.count(name) > 1:
+        raise ValidationError(f"column {name!r} appears {header.count(name)} times in header "
+                              f"{header}", row=line)
+    return header.index(name)
 
 
 def _matrix(path, line, header, rows) -> np.ndarray:
@@ -85,7 +94,7 @@ def ingest_pvalues(path, column=None) -> PValueSeries:
         header, line, rows = _read_table(path)
         if column not in header:
             raise ValidationError(f"column {column!r} not found in header {header}", row=line)
-        j = header.index(column)
+        j = _column(header, column, line)
         if not rows:
             raise ValidationError(f"{path}: no data rows", row=line)
         cells = []
@@ -145,7 +154,7 @@ def ingest_pairs(path):
         raise ValidationError("need two columns for bivariate pairs", row=line)
     matrix = _matrix(path, line, header, rows)
     if "x" in header and "y" in header:
-        ix, iy = header.index("x"), header.index("y")
+        ix, iy = _column(header, "x", line), _column(header, "y", line)
     else:
         ix, iy = 0, 1
     return matrix[:, ix], matrix[:, iy]

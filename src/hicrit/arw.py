@@ -64,6 +64,13 @@ _CALIB_STREAMS = 1 << 21
 # each class; 1e-10 covers that residue up to n ~ 4e5 samples.
 _ZERO_SS = 1e-10
 
+# A shuffle scoring within this fraction of |original| counts as at least the
+# original. The original comes from _matrix_hc_score and the shuffles from the
+# batched kernel, whose rounding differs (up to ~2e-14 relative, and a row's bits
+# depend on its place in the BLAS batch), so a shuffle that reproduces the original
+# partition may score a hair below it. scipy.stats.permutation_test allows 100*eps.
+_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ArwParams:
@@ -352,7 +359,10 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     law whatever the correlation among features (Westfall & Young 1993). The
     standardized Z-scores and the HC score are recomputed per shuffle, a batch
     of shuffles in one kernel. The returned P-value is the add-one estimator
-    (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0. A
+    (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0; a
+    shuffle at most 1e-12 |original| below the original is a tie and counts
+    (the two are scored by different code, so a shuffle that reproduces the
+    original partition can fall below it by rounding). A
     shuffle has no score and counts as +inf, at least as extreme as the
     original, so the P-value stays conservative, when some feature's pooled
     within-class sum of squares is at most 1e-10 of its total sum of squares
@@ -373,5 +383,5 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     # At its peak the kernel holds about five rows of n or of p elements per shuffle.
     scores = _streams.run(_shuffle_batch, params, shuffles, STREAM_BLOCK,
                           5 * sum(centred.shape), base, 1)
-    exceed = int(np.sum(scores >= original))
+    exceed = int(np.sum(scores >= original - _TIE_RTOL * abs(original)))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)

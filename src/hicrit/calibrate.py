@@ -39,7 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriticalValueEntry:
-    """One immutable cache record: parameters in, simulated quantile out."""
+    """One immutable cache record: parameters in, simulated quantile out. Refuses a
+    NaN quantile, simulated, stored or hand-built: a simulated one is finite or -inf."""
 
     N: int
     alpha: float
@@ -49,6 +50,10 @@ class CriticalValueEntry:
     seed: RngSeed
     quantile: float
     rng_version: str = RNG_VERSION
+
+    def __post_init__(self):
+        if math.isnan(self.quantile):
+            raise InvalidInputError("critical value quantile must not be NaN")
 
 
 def gumbel_critical(N: int, alpha: float) -> float:
@@ -99,11 +104,8 @@ def simulate_critical(N: int, alpha: float, variant: str = "plus", alpha0: float
 # Cache: "critical_value" records in the shared record store.
 
 def _entry(prm, value, **provenance) -> CriticalValueEntry:
-    quantile = float(value)
-    if math.isnan(quantile):  # a simulated quantile is finite or -inf, never NaN
-        raise ValueError("quantile is NaN")
     return CriticalValueEntry(int(prm["N"]), float(prm["alpha"]), prm["variant"],
-                              float(prm["alpha0"]), quantile=quantile, **provenance)
+                              float(prm["alpha0"]), quantile=float(value), **provenance)
 
 
 def load_cache(path) -> list[CriticalValueEntry]:

@@ -27,8 +27,8 @@ from . import _store, _streams
 from .errors import InvalidInputError
 from .hc_core import (HcResult, PValueSeries, _check_replicates, _first_max, _floor_index,
                       ohc_plus_band)
-from .numerics import (RNG_VERSION, RngSeed, as_generator, as_seed, clamp_pvalues, student_t_cdf,
-                       student_t_sf)
+from .numerics import (RNG_VERSION, RngSeed, _freeze, as_generator, as_seed, clamp_pvalues,
+                       student_t_cdf, student_t_sf)
 
 __all__ = [
     "CorrelationSummary",
@@ -194,7 +194,7 @@ def sample_gaussian(n: int, sigma: np.ndarray, seed=0) -> np.ndarray:
 
 
 def _sorted_eigenvalues(X: np.ndarray) -> np.ndarray:
-    """The min(n, p) eigenvalues of X'X/n, descending, via the smaller Gram matrix."""
+    """The eigenvalues of X'X/n, descending, via the smaller Gram matrix."""
     n, p = X.shape
     gram = (X.T @ X if p <= n else X @ X.T) / n
     return np.linalg.eigvalsh(gram)[::-1]
@@ -202,7 +202,10 @@ def _sorted_eigenvalues(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenNullProfile:
-    """Per-rank null means and standard deviations of the sorted eigenvalues."""
+    """Per-rank null means and standard deviations of the sorted eigenvalues.
+
+    Owns a profile's rules, simulated, stored or hand-built: min(n, p) means and sds,
+    every mean finite, every sd finite and positive; both kept as read-only copies."""
 
     n: int
     p: int
@@ -211,6 +214,19 @@ class EigenNullProfile:
     replicates: int
     seed: RngSeed
     rng_version: str = RNG_VERSION
+
+    def __post_init__(self):
+        means, sds = (np.asarray(a, dtype=float) for a in (self.means, self.sds))
+        m = min(self.n, self.p)
+        if not means.shape == sds.shape == (m,):
+            raise InvalidInputError(f"expected {m} profile means and sds")
+        if not np.all(np.isfinite(means)):
+            raise InvalidInputError("profile means must all be finite")
+        if not np.all(np.isfinite(sds)):
+            raise InvalidInputError("profile sds must all be finite")
+        if not np.all(sds > 0.0):
+            raise InvalidInputError("profile sds must all be positive")
+        _freeze(self, means=means, sds=sds)
 
     @property
     def m(self) -> int:
@@ -249,10 +265,10 @@ class EigenHcResult:
 def eigen_hc_test(X, profile: EigenNullProfile, alpha0: float = 0.5) -> EigenHcResult:
     """Standardize each sorted eigenvalue of X'X/n by its null mean/SD and maximize.
 
-    The max runs over the top max(1, floor(alpha0 * min(n, p))) ranks. Refuses
-    an X whose shape is not the profile's or that holds NaN or Inf, a profile
-    whose means are not all finite or whose sds are not all positive, and alpha0
-    outside (0, 1].
+    The max runs over the top max(1, floor(alpha0 * profile.m)) ranks. Refuses
+    an X whose shape is not the profile's or that holds NaN or Inf, and alpha0
+    outside (0, 1]; the profile's own means and sds were checked when it was
+    built (EigenNullProfile).
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (profile.n, profile.p):
@@ -260,10 +276,6 @@ def eigen_hc_test(X, profile: EigenNullProfile, alpha0: float = 0.5) -> EigenHcR
             f"X has shape {X.shape}, profile was simulated for ({profile.n}, {profile.p})")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("X must not contain NaN or Inf")
-    if not np.all(np.isfinite(profile.means)):
-        raise InvalidInputError("profile means must all be finite")
-    if not np.all(profile.sds > 0.0):
-        raise InvalidInputError("profile sds must all be positive")
     k_max = max(1, _floor_index(alpha0, profile.m))
     comp = (_sorted_eigenvalues(X) - profile.means) / profile.sds
     best = _first_max(comp[:k_max], 0, "eigen", alpha0)
@@ -300,14 +312,8 @@ def make_spiked_sigma(p: int, rank: int, h: float, seed=0) -> np.ndarray:
 # Profile cache: "eigen_profile" records in the shared record store.
 
 def _profile(prm, value, **provenance) -> EigenNullProfile:
-    n, p = int(prm["n"]), int(prm["p"])
-    m = min(n, p)
-    means, sds = (np.array(value[k], dtype=float) for k in ("means", "sds"))
-    if not means.shape == sds.shape == (m,):
-        raise ValueError(f"expected {m} means and sds")
-    if not np.isfinite((means, sds)).all():
-        raise ValueError("means and sds must be finite")
-    return EigenNullProfile(n, p, means, sds, **provenance)
+    return EigenNullProfile(int(prm["n"]), int(prm["p"]), value["means"], value["sds"],
+                            **provenance)
 
 
 def save_profile(path, profile: EigenNullProfile) -> None:

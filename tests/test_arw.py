@@ -372,7 +372,8 @@ def test_permutation_shuffle_with_zero_pooled_variance_scores_inf(seed):
     scores = res.shuffle_scores
     assert np.all(np.isfinite(scores) | (scores == np.inf))
     assert np.any(scores == np.inf)
-    assert res.pvalue == (1 + int(np.sum(scores >= res.original_score))) / 201
+    tie = res.original_score - arw._TIE_RTOL * abs(res.original_score)
+    assert res.pvalue == (1 + int(np.sum(scores >= tie))) / 201
 
 
 @pytest.mark.parametrize("variant", ["plus", "star"])
@@ -392,6 +393,27 @@ def test_permutation_result_is_invariant_to_negated_labels(seed, variant):
 def _shuffled_labels(labels, shuffles, seed):
     # The labels of each shuffle: one row of uniform keys per shuffle, argsorted (one stream).
     return labels[np.argsort(RngSeed(seed).generator().random((shuffles, labels.size)), axis=1)]
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 4), (3, 5)], ids=["4+4", "3+5"])
+def test_permutation_counts_every_shuffle_that_reproduces_the_partition(n1, n2):
+    # A shuffle that puts every row back in its class (or, for equal classes, swaps the
+    # two classes whole) scores the original up to rounding; at 8 rows that is 2 of
+    # C(8, 4) = 70 labelings, or 1 of C(8, 3) = 56. Each must count as at least the
+    # original. 199 shuffles fit one stream block, so _shuffled_labels repeats them.
+    labels = np.repeat([1, -1], [n1, n2])
+    shuffles, missed = 199, []
+    for seed in range(200):
+        data = np.random.default_rng(seed).standard_normal((n1 + n2, 50))
+        res = permutation_test(LabeledMatrix(data, labels), shuffles=shuffles, seed=seed)
+        shuffled = _shuffled_labels(labels, shuffles, seed)
+        same = np.all(shuffled == labels, axis=1) | np.all(shuffled == -labels, axis=1)
+        beyond = int(np.sum(~same & (res.shuffle_scores >= res.original_score)))
+        counted = round(res.pvalue * (shuffles + 1)) - 1
+        if (counted < int(same.sum()) + beyond
+                or res.pvalue < (1 + int(same.sum())) / (shuffles + 1)):
+            missed.append(seed)
+    assert missed == []
 
 
 @pytest.mark.parametrize("variant", ["plus", "star"])

@@ -283,8 +283,9 @@ def test_level_alpha_test_entry_mismatch():
 
 def test_level_alpha_test_refuses_a_nan_critical_value():
     grid = PValueSeries(np.arange(1, 101) / 100.0)
-    nan_entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(0), math.nan)
-    for critical in (math.nan, np.float64("nan"), nan_entry):
+    with pytest.raises(InvalidInputError, match="NaN"):  # an entry refuses it when built
+        CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(0), math.nan)
+    for critical in (math.nan, np.float64("nan")):
         with pytest.raises(InvalidInputError, match="NaN"):
             level_alpha_test(grid, critical)
     assert level_alpha_test(grid, math.inf) == "retain"

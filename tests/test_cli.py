@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_score_null_grid(pvals_file, capsys, tmp_path):
     assert code == 0
     line = output_lines(out)[0]
     assert "score=0" in line and "variant=plus" in line and "n=20" in line
-    rows = open(trace).read().strip().splitlines()
+    rows = Path(trace).read_text().strip().splitlines()
     assert rows[0] == "i,p,component"
     assert len(rows) == 21
     manifest = manifest_of(out)
@@ -160,10 +161,10 @@ def test_calibrate_cache_flow(tmp_path, capsys):
     code, out1, _ = run(capsys, *args)
     assert code == 0
     assert "source=simulated" in out1
-    rows1 = open(cache).read()
+    rows1 = Path(cache).read_text()
     code, out2, _ = run(capsys, *args)
     assert "source=cache" in out2
-    assert open(cache).read() == rows1  # hit: no new rows
+    assert Path(cache).read_text() == rows1  # hit: no new rows
     value1 = [l for l in output_lines(out1)][0].split()[0]
     value2 = [l for l in output_lines(out2)][0].split()[0]
     assert value1 == value2
@@ -215,14 +216,14 @@ def test_detect_sim_replay(tmp_path, capsys):
             "--critical", "3.1", "--out", out_csv)
     code, out1, _ = run(capsys, *args)
     assert code == 0
-    bytes1 = open(out_csv, "rb").read()
+    bytes1 = Path(out_csv).read_bytes()
     rows = bytes1.decode().strip().splitlines()
     assert rows[0] == "hypothesis,score"
     assert len(rows) == 41
     assert {r.split(",")[0] for r in rows[1:]} == {"H0", "H1"}
     code, out2, _ = run(capsys, *args)
     assert output_lines(out1) == output_lines(out2)
-    assert open(out_csv, "rb").read() == bytes1  # bit-identical replay
+    assert Path(out_csv).read_bytes() == bytes1  # bit-identical replay
 
 
 def test_detect_sim_arw_parameterization(capsys):
@@ -260,7 +261,7 @@ def test_permtest(labeled_file, capsys, tmp_path):
                        "--seed", "2", "--out", out_csv)
     assert code == 0
     assert "pvalue=" in output_lines(out)[0]
-    assert len(open(out_csv).read().strip().splitlines()) == 20
+    assert len(Path(out_csv).read_text().strip().splitlines()) == 20
 
 
 def test_select_classify_evaluate_roundtrip(labeled_file, tmp_path, capsys):
@@ -281,7 +282,7 @@ def test_select_classify_evaluate_roundtrip(labeled_file, tmp_path, capsys):
                        "--out", str(tmp_path / "scores.csv"))
     assert code == 0
     assert "error_rate=0 " in output_lines(out)[0] + " "
-    assert open(tmp_path / "scores.csv").readline().startswith("index,label,prediction")
+    assert (tmp_path / "scores.csv").read_text().startswith("index,label,prediction")
 
 
 def test_labels_one_two_remap(tmp_path, capsys):
@@ -331,7 +332,7 @@ def test_cov_eigen_cli(tmp_path, capsys):
     assert output_lines(out1) == output_lines(out2)
     assert manifest_of(out2)["provenance"] == {"seed": 4, "stream_id": 0, "replicates": 100,
                                                "rng_version": RNG_VERSION}
-    assert len(open(trace).read().strip().splitlines()) == 11
+    assert len(Path(trace).read_text().strip().splitlines()) == 11
 
 
 def test_pairs_cli(tmp_path, capsys):
@@ -343,7 +344,7 @@ def test_pairs_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "pairs", "--input", str(path), "--trace", trace)
     assert code == 0
     assert "score=" in output_lines(out)[0]
-    assert open(trace).readline().strip() == "k,S_k,component"
+    assert Path(trace).read_text().splitlines()[0].strip() == "k,S_k,component"
 
     code, out, _ = run(capsys, "pairs", "--simulate", "--n", "200", "--epsilon", "0.05",
                        "--tau", "1", "--rho", "0.25", "--reps", "10", "--seed", "6",
@@ -375,9 +376,9 @@ def test_phase_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "phase", "--theta", "0.15", "--grid", "200",
                        "--out", out_csv)
     assert code == 0
-    rows = open(out_csv).read().strip().splitlines()
+    rows = Path(out_csv).read_text().strip().splitlines()
     assert len(rows) == 201
-    assert "nan" not in open(out_csv).read().lower()
+    assert "nan" not in Path(out_csv).read_text().lower()
 
     for r in ("-1", "0"):
         code, out, err = run(capsys, "phase", "--theta", "0.2", "--grid", "3", "--r", r)
@@ -392,7 +393,7 @@ def test_non_utf8_input_exits_3_naming_the_file(labeled_file, tmp_path, capsys):
     table = tmp_path / "m.csv"
     table.write_bytes(b"a,b\n1,2\n\xe9,3\n")
     labeled = tmp_path / "l.csv"
-    labeled.write_bytes(open(labeled_file, "rb").read() + b"1,\xe9\n")
+    labeled.write_bytes(Path(labeled_file).read_bytes() + b"1,\xe9\n")
     for argv, path in ((("score", "--input", str(lines)), lines),
                        (("score", "--input", str(table), "--column", "a"), table),
                        (("cov-clique", "--input", str(table)), table),
@@ -401,6 +402,57 @@ def test_non_utf8_input_exits_3_naming_the_file(labeled_file, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3, (argv, err)
         assert err.startswith(f"error: {path}: not utf-8 text")
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes it
+
+
+def test_score_reads_a_value_per_line_file_that_starts_with_a_byte_order_mark(pvals_file,
+                                                                               tmp_path, capsys):
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(BOM + Path(pvals_file).read_bytes())
+    code, out, err = run(capsys, "score", "--input", str(marked))
+    assert (code, err) == (0, ""), err
+    assert output_lines(out) == output_lines(run(capsys, "score", "--input", pvals_file)[1])
+
+
+def test_score_column_reads_a_header_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "p.csv", tmp_path / "bom.csv"
+    plain.write_text("pvalue,x\n0.01,1\n0.5,2\n0.25,3\n")
+    marked.write_bytes(BOM + plain.read_bytes())
+    outs = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, "score", "--input", str(path), "--column", "pvalue")
+        assert (code, err) == (0, ""), err
+        outs.append(output_lines(out))
+    assert outs[0] == outs[1]
+
+
+def test_select_and_permtest_read_a_label_header_after_a_byte_order_mark(labeled_file,
+                                                                          tmp_path, capsys):
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(BOM + Path(labeled_file).read_bytes())
+    model = tmp_path / "model.json"
+    for argv in (("select", "--out", str(model), "--train"),
+                 ("permtest", "--shuffles", "99", "--seed", "1", "--input")):
+        outs = []
+        for path in (labeled_file, str(marked)):
+            code, out, err = run(capsys, *argv, path)
+            assert (code, err) == (0, ""), (argv, err)
+            outs.append((output_lines(out), model.read_text()))
+        assert outs[0] == outs[1], argv
+
+
+def test_a_looked_up_column_name_held_twice_in_the_header_exits_3(tmp_path, capsys):
+    scores, pairs = tmp_path / "p.csv", tmp_path / "pairs.csv"
+    scores.write_text("a,a,b\n0.5,0.1,1\n0.25,0.2,2\n")
+    pairs.write_text("x,y,x\n" + "".join(f"{i},{i * i % 7},{-i}\n" for i in range(10)))
+    for argv, name, header in (
+            (("score", "--input", str(scores), "--column", "a"), "a", ["a", "a", "b"]),
+            (("pairs", "--input", str(pairs)), "x", ["x", "y", "x"])):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: column {name!r} appears 2 times in header {header} (row 1)\n"
 
 
 def test_nonpositive_n_exits_3(tmp_path, capsys):
@@ -453,7 +505,7 @@ def test_classify_ignores_the_labels_of_a_test_file(labeled_file, tmp_path, caps
     # training would refuse (0/1 here) does not stop classify.
     model = str(tmp_path / "model.json")
     assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
-    header, *rows = open(labeled_file).read().splitlines()
+    header, *rows = Path(labeled_file).read_text().splitlines()
     zero_one = tmp_path / "zero_one.csv"
     zero_one.write_text("\n".join([header] + [("0" + r[2:]) if r.startswith("-1,") else r
                                               for r in rows]) + "\n")
@@ -469,7 +521,7 @@ def test_classify_reads_a_labeled_file_with_a_leading_blank_line(labeled_file, t
     model = str(tmp_path / "model.json")
     assert run(capsys, "select", "--train", labeled_file, "--out", model)[0] == 0
     padded = tmp_path / "padded.csv"
-    padded.write_text("\n" + open(labeled_file).read())
+    padded.write_text("\n" + Path(labeled_file).read_text())
     code, out, err = run(capsys, "classify", "--model", model, "--test", labeled_file)
     assert code == 0, err
     code, padded_out, err = run(capsys, "classify", "--model", model, "--test", str(padded))
@@ -500,7 +552,7 @@ def test_tables_on_stdout_match_the_out_file(labeled_file, tmp_path, capsys):
         assert code == 0
         path = tmp_path / f"{argv[0]}.csv"
         assert run(capsys, *argv, "--out", str(path))[0] == 0
-        table = open(path, newline="").read()
+        table = path.read_bytes().decode()
         assert table.endswith("\r\n")
         assert out.startswith(table.replace("\r\n", "\n"))
 
@@ -742,8 +794,10 @@ def test_closed_stdout_exits_141_without_an_error_line(case, pvals_file):
         proc = subprocess.Popen([*cli, *argv], env=env,
                                 stdout=write_end, stderr=subprocess.PIPE, text=True)
         os.close(write_end)
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141, err
+    with proc:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 141, err
     assert not any(s in err for s in ("error:", "Traceback", "Exception ignored")), err
 
 
@@ -797,7 +851,7 @@ def signal_pvals_file(tmp_path):
 
 
 def read_trace(path):
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert rows[0] == "i,p,component"
     return [row.split(",") for row in rows[1:]]
 

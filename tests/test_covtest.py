@@ -320,36 +320,57 @@ def test_non_finite_profile_record_names_its_line(tmp_path):
             load_profile(path, 3, 2)
 
 
-@pytest.mark.parametrize("sds", [[0.0, 1.0], [1.0, -0.5], [np.nan, 1.0]],
+@pytest.mark.parametrize("sds, match", [([0.0, 1.0], "sds must all be positive"),
+                                         ([1.0, -0.5], "sds must all be positive"),
+                                         ([np.nan, 1.0], "sds must all be finite")],
                          ids=["zero", "negative", "nan"])
-def test_eigen_hc_test_refuses_sds_that_are_not_all_positive(sds):
-    X = np.random.default_rng(3).standard_normal((30, 2))
-    profile = EigenNullProfile(30, 2, np.ones(2), np.array(sds), 100, RngSeed(0))
-    with pytest.raises(InvalidInputError, match="sds must all be positive"):
-        eigen_hc_test(X, profile)
+def test_eigen_hc_test_refuses_sds_that_are_not_all_positive(sds, match):
+    # The profile refuses them when built, so eigen_hc_test never sees them.
+    with pytest.raises(InvalidInputError, match=match):
+        EigenNullProfile(30, 2, np.ones(2), np.array(sds), 100, RngSeed(0))
 
 
 @pytest.mark.parametrize("means", [[np.nan, np.nan], [np.inf, 1.0], [1.0, -np.inf]],
                          ids=["nan", "inf", "minus-inf"])
 def test_eigen_hc_test_refuses_means_that_are_not_all_finite(means):
-    # NaN means once gave score=-inf and argmax_rank=None instead of an error.
-    X = np.random.default_rng(3).standard_normal((30, 2))
-    profile = EigenNullProfile(30, 2, np.array(means), np.ones(2), 100, RngSeed(0))
+    # NaN means once gave score=-inf and argmax_rank=None instead of an error; the
+    # profile now refuses them when built.
     with pytest.raises(InvalidInputError, match="means must all be finite"):
-        eigen_hc_test(X, profile)
+        EigenNullProfile(30, 2, np.array(means), np.ones(2), 100, RngSeed(0))
+
+
+def test_eigen_null_profile_owns_its_count_and_freezes_its_arrays():
+    refused = [(5, 3, np.ones(3), np.ones(2), "expected 3 profile means"),
+               (3, 5, np.ones(5), np.ones(5), "expected 3 profile means"),
+               (4, 3, np.ones(3), [1.0, np.inf, 1.0], "sds must all be finite")]
+    for n, p, means, sds, match in refused:
+        with pytest.raises(InvalidInputError, match=match):
+            EigenNullProfile(n, p, means, sds, 100, RngSeed(0))
+    means = np.array([3.0, 2.0, 1.0])
+    profile = EigenNullProfile(4, 3, means, [0.5, 0.25, 0.125], 100, RngSeed(0))
+    means[0] = 9.0
+    assert profile.means.tolist() == [3.0, 2.0, 1.0] and profile.sds.dtype == float
+    for arr in (profile.means, profile.sds):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_cov_eigen_with_a_stored_zero_sd_exits_3(tmp_path, capsys):
-    # At the parent this printed score=-inf with an empty argmax_rank and exited 0.
+    # A stored sd of 0 or -1 is refused by the profile type, naming the cache and the row.
     path = tmp_path / "cache.jsonl"
-    save_profile(path, EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.0, 0.1]), 100,
+    save_profile(path, EigenNullProfile(3, 2, np.array([1.5, 0.5]), np.array([0.2, 0.1]), 100,
                                         RngSeed(7)))
+    good = path.read_text()
     data = tmp_path / "x.csv"
     data.write_text("a,b\n1,2\n3,5\n4,4\n")
-    code = dispatch(["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed", "1",
-                     "--profile-cache", str(path), "--threads", "1"])
-    out, err = capsys.readouterr()
-    assert code == 3 and out == "" and "sds must all be positive" in err
+    for sd in ("0.0", "-1.0"):
+        path.write_text(good.replace('"sds": [0.2, 0.1]', f'"sds": [{sd}, 0.1]'))
+        code = dispatch(["cov-eigen", "--input", str(data), "--null-reps", "100", "--seed",
+                         "1", "--profile-cache", str(path), "--threads", "1"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (f"error: {path}: malformed eigen_profile record: "
+                       f"profile sds must all be positive (row 1)\n")
 
 
 def test_profiles_and_critical_values_share_a_file(tmp_path):
@@ -370,7 +391,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(seeds=st.tuples(_U64, _U64, _U64, _U64), quantile=_FINITE,
        means=st.lists(_FINITE, min_size=2, max_size=2),
-       sds=st.lists(_FINITE, min_size=2, max_size=2))
+       sds=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=2, max_size=2))
 def test_store_round_trip_over_the_full_seed_range(seeds, quantile, means, sds):
     entry = CriticalValueEntry(100, 0.05, "plus", 0.5, 1000, RngSeed(*seeds[:2]), quantile)
     profile = EigenNullProfile(3, 2, np.array(means), np.array(sds), 100, RngSeed(*seeds[2:]))
