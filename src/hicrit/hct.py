@@ -170,6 +170,9 @@ class HctModel:
     weights[j] is sgn(Z_j) when |Z_j| >= threshold and 0 otherwise. When |Z|
     ties exactly at the threshold, every tied feature is kept even if that
     exceeds hct_index; selection_consistent records whether the two agree.
+
+    Owns its rules, trained, loaded or hand-built: weights a non-empty vector of -1, 0 and +1,
+    hct_index in [1, p], p names, p finite means, p finite positive sds. Arrays are read-only.
     """
 
     weights: np.ndarray
@@ -179,6 +182,27 @@ class HctModel:
     feature_sds: np.ndarray
     alpha0: float
     feature_names: Sequence[str]
+
+    def __post_init__(self):
+        weights, names = np.asarray(self.weights), list(self.feature_names)
+        means, sds = (np.asarray(a, dtype=float) for a in (self.feature_means, self.feature_sds))
+        p = weights.size
+        if weights.ndim != 1 or p < 1:
+            raise InvalidInputError("model weights must be a non-empty 1-D vector")
+        if not 1 <= self.hct_index <= p:
+            raise InvalidInputError(f"hct_index must lie in [1, p = {p}], got {self.hct_index}")
+        for name, value in dict(feature_means=means, feature_sds=sds, feature_names=names).items():
+            if np.shape(value) != (p,):
+                raise InvalidInputError(f"{name} must hold p = {p} entries, got {np.shape(value)}")
+        if not np.all(np.isin(weights, (-1, 0, 1))):
+            raise InvalidInputError("model weights must all be -1, 0 or +1")
+        # json.load accepts NaN and Infinity; such a model scores nothing meaningful.
+        if not np.all(np.isfinite(means)):
+            raise InvalidInputError("feature_means must all be finite")
+        if not np.all((sds > 0.0) & np.isfinite(sds)):
+            raise InvalidInputError("feature_sds must all be finite and positive")
+        _freeze(self, weights=weights.astype(np.int8), feature_means=means, feature_sds=sds)
+        object.__setattr__(self, "feature_names", names)
 
     @property
     def p(self) -> int:
@@ -295,51 +319,32 @@ def save_model(model: HctModel, path) -> None:
 
 
 def load_model(path) -> HctModel:
-    """Read a model written by save_model; a malformed file raises InvalidInputError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: not a valid model JSON file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{path}: model JSON must be an object")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise InvalidInputError(f"unsupported model format_version {version!r}")
+    """Read a model written by save_model, checking only the file (JSON, format_version, fields,
+    sparse weights): HctModel owns the model's rules. Each refusal names the file once."""
     try:
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise InvalidInputError(f"not a valid model JSON file: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidInputError("model JSON must be an object")
+        if (version := doc.get("format_version")) != MODEL_FORMAT_VERSION:
+            raise InvalidInputError(f"unsupported model format_version {version!r}")
         p = int(doc["p"])
-        weights = {int(j): int(w) for j, w in doc["weights"].items()}
-        model = dict(
-            threshold=float(doc["threshold"]),
-            hct_index=int(doc["hct_index"]),
-            feature_means=np.asarray(doc["feature_means"], dtype=float),
-            feature_sds=np.asarray(doc["feature_sds"], dtype=float),
-            alpha0=float(doc["alpha0"]),
-            feature_names=[str(name) for name in doc["feature_names"]],
-        )
+        weights = np.zeros(max(p, 0), dtype=np.int8)
+        for j, w in ((int(j), int(w)) for j, w in doc["weights"].items()):
+            if not 0 <= j < p:
+                raise InvalidInputError(f"weight index {j} outside [0, {p - 1}]")
+            if w not in (-1, 1):
+                raise InvalidInputError(f"weight {j} must be -1 or +1, got {w}")
+            weights[j] = w
+        return HctModel(weights, float(doc["threshold"]), int(doc["hct_index"]),
+                        doc["feature_means"], doc["feature_sds"], float(doc["alpha0"]),
+                        [str(name) for name in doc["feature_names"]])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise InvalidInputError(f"{path}: model is missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, MemoryError) as exc:  # MemoryError: a huge p
         raise InvalidInputError(f"{path}: malformed model field: {exc}") from None
-    if p < 1:
-        raise InvalidInputError(f"{path}: model p must be positive, got {p}")
-    if not 1 <= model["hct_index"] <= p:
-        raise InvalidInputError(
-            f"{path}: model hct_index must lie in [1, p = {p}], got {model['hct_index']}")
-    for name in ("feature_means", "feature_sds", "feature_names"):
-        if np.shape(model[name]) != (p,):
-            raise InvalidInputError(
-                f"{path}: {name} must hold p = {p} entries, got shape {np.shape(model[name])}")
-    # json.load accepts NaN and Infinity; such a model scores nothing meaningful.
-    if not np.all(np.isfinite(model["feature_means"])):
-        raise InvalidInputError(f"{path}: feature_means must all be finite")
-    if not np.all((model["feature_sds"] > 0.0) & np.isfinite(model["feature_sds"])):
-        raise InvalidInputError(f"{path}: feature_sds must all be finite and positive")
-    dense = np.zeros(p, dtype=np.int8)
-    for j, w in weights.items():
-        if not 0 <= j < p:
-            raise InvalidInputError(f"{path}: weight index {j} outside [0, {p - 1}]")
-        if w not in (-1, 1):
-            raise InvalidInputError(f"{path}: weight {j} must be -1 or +1, got {w}")
-        dense[j] = w
-    return HctModel(weights=dense, **model)

@@ -19,7 +19,7 @@ from hicrit.errors import InvalidInputError
 from hicrit.hc_core import (PValueSeries, avg_likelihood_ratio, empirical_cdf_on_grid,
                             gof_empirical, gof_theoretical, hc_at_level, hc_plus,
                             hc_scores_sorted_batch, hc_star)
-from hicrit.hct import LabeledMatrix, ZScores, hct_threshold
+from hicrit.hct import HctModel, LabeledMatrix, ZScores, hct_threshold
 from hicrit.numerics import RngSeed, std_normal_quantile, student_t_cdf, student_t_sf
 from hicrit.pairhc import (RankedPairs, pair_hc_star, sample_bivariate_mixture,
                            simulate_pair_scores)
@@ -297,10 +297,13 @@ def test_simulate_pair_scores_checks_alpha0_before_drawing():
     lambda: student_t_sf(0.5, float("nan")),
     lambda: sample_gaussian(5, [[float("nan"), 0.0], [0.0, 1.0]]),
     lambda: eigen_hc_test(np.full_like(X, np.nan), PROFILE),
+    lambda: HctModel(np.ones(2), 1.0, 1, [0.0, np.nan], np.ones(2), 0.1, ["a", "b"]),
+    lambda: HctModel(np.ones(2), 1.0, 1, np.zeros(2), [1.0, np.nan], 0.1, ["a", "b"]),
 ], ids=["ArwParams.r", "PhasePoint.r", "ideal_fdr.r", "make_spiked_sigma.h",
         "pair_hc_star.min_expected", "detection_experiment.critical",
         "std_normal_quantile.p", "student_t_cdf.df", "student_t_sf.df",
-        "sample_gaussian.sigma", "eigen_hc_test.X"])
+        "sample_gaussian.sigma", "eigen_hc_test.X", "HctModel.feature_means",
+        "HctModel.feature_sds"])
 def test_nan_is_refused_by_range_checks(build):
     with pytest.raises(InvalidInputError):
         build()

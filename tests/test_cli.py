@@ -135,6 +135,9 @@ def test_malformed_model_exits_3(labeled_file, tmp_path, capsys):
         "hct_index_zero": json.dumps(dict(good, hct_index=0)),
         "hct_index_negative": json.dumps(dict(good, hct_index=-3)),
         "hct_index_above_p": json.dumps(dict(good, hct_index=good["p"] + 1)),
+        "version": json.dumps(dict(good, format_version=99)),
+        "not_object": "[]",
+        "huge_p": json.dumps(dict(good, p=10 ** 15)),
     }
     for name, text in bad_models.items():
         path = tmp_path / f"{name}.json"
@@ -143,6 +146,7 @@ def test_malformed_model_exits_3(labeled_file, tmp_path, capsys):
             code, _, err = run(capsys, *argv, "--model", str(path), "--test", labeled_file)
             assert code == 3, (name, argv, err)
             assert err.startswith("error: ")
+            assert err.count(str(path)) == 1, (name, err)
             assert "hct_index" in err or not name.startswith("hct_index")
 
 
@@ -441,6 +445,23 @@ def test_select_and_permtest_read_a_label_header_after_a_byte_order_mark(labeled
             assert (code, err) == (0, ""), (argv, err)
             outs.append((output_lines(out), model.read_text()))
         assert outs[0] == outs[1], argv
+
+
+def test_classify_and_evaluate_read_a_model_that_starts_with_a_byte_order_mark(labeled_file,
+                                                                                tmp_path, capsys):
+    plain, marked, latin = tmp_path / "model.json", tmp_path / "bom.json", tmp_path / "l1.json"
+    assert run(capsys, "select", "--train", labeled_file, "--out", str(plain))[0] == 0
+    marked.write_bytes(BOM + plain.read_bytes())
+    for argv in (("classify",), ("evaluate",)):
+        outs = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, *argv, "--model", str(path), "--test", labeled_file)
+            assert err == "", (argv, err)
+            outs.append((code, output_lines(out)))
+        assert outs[0] == outs[1] and outs[0][0] == 0, argv
+    latin.write_bytes(plain.read_bytes().replace(b'"g0"', b'"g\xe9"'))
+    code, out, err = run(capsys, "classify", "--model", str(latin), "--test", labeled_file)
+    assert (code, out) == (3, "") and err.startswith(f"error: {latin}: "), err
 
 
 def test_a_looked_up_column_name_held_twice_in_the_header_exits_3(tmp_path, capsys):

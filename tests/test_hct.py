@@ -280,3 +280,35 @@ def test_model_version_check(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(InvalidInputError):
         load_model(path)
+
+
+def _model_fields(**changes):
+    fields = dict(weights=np.array([1, 0, -1]), threshold=1.0, hct_index=2,
+                  feature_means=np.zeros(3), feature_sds=np.ones(3), alpha0=0.1,
+                  feature_names=["a", "b", "c"])
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize("changes", [
+    dict(hct_index=0), dict(hct_index=4), dict(feature_means=np.zeros(2)),
+    dict(feature_sds=np.ones(2)), dict(feature_names=["a", "b"]),
+    dict(feature_means=[0.0, np.nan, 0.0]), dict(feature_means=[0.0, np.inf, 0.0]),
+    dict(feature_sds=[1.0, 0.0, 1.0]), dict(feature_sds=[1.0, -1.0, 1.0]),
+    dict(feature_sds=[1.0, np.nan, 1.0]), dict(weights=np.array([1, 2, 0])),
+    dict(weights=np.array([[1, 0, -1]])), dict(weights=np.array([], dtype=np.int8)),
+], ids=["hct_index-0", "hct_index-p+1", "short-means", "short-sds", "short-names",
+        "means-nan", "means-inf", "sds-zero", "sds-negative", "sds-nan", "weight-2",
+        "weights-2d", "weights-empty"])
+def test_hand_built_model_that_breaks_a_rule_is_refused(changes):
+    HctModel(**_model_fields())
+    with pytest.raises(InvalidInputError):
+        HctModel(**_model_fields(**changes))
+
+
+def test_trained_and_loaded_models_keep_read_only_arrays(tmp_path):
+    model = train(synthetic_matrix(np.random.default_rng(3), n=16, p=30, shift=3.0, n_signal=4))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    for m in (model, load_model(path)):
+        for arr in (m.weights, m.feature_means, m.feature_sds):
+            assert not arr.flags.writeable
