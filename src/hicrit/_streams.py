@@ -20,7 +20,8 @@ import numpy as np
 
 from .numerics import RngSeed
 
-# Cap on elements materialized per batch inside one stream (~100 MB).
+# Cap on replicates x row_elems per batch inside one stream (100 MB of float64).
+# A mixture batch holds its b*k exponentials (k <= row_elems) and one row tile.
 _BATCH_ELEMS = 12_500_000
 
 # Below this much work (replicates x row_elems over all jobs) run_all stays in

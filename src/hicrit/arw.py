@@ -6,13 +6,16 @@ same mixture at epsilon = 0, so one sampler makes every HC Monte Carlo
 replicate, critical values included. Draws are made in P-value space and only
 the floor(alpha0*N) smallest P-values, the ones the HC kernel reads, are made
 at all: a Binomial(N, epsilon) count of nonnulls, Renyi's representation for
-the smallest null P-values, and ndtr on the nonnulls alone. The experiment's
-null, alternative and calibration streams share one stream-runner pool. A
-label-permutation test (whole rows keep their values, the labels are
-shuffled; batches of shuffles scored in one kernel on the stream runner)
-supplies P-values for HC scores on real labeled matrices, valid when the
-features are correlated; a shuffle whose feature scores are degenerate scores
-+inf.
+the smallest null P-values, and ndtr on the nonnulls alone. A batch makes all
+its draws first, in a fixed order, then builds and scores its P-values one
+cache-sized tile of rows at a time, so the tiles change no bit. The
+experiment's null, alternative and calibration streams share one
+stream-runner pool. A label-permutation test (whole rows keep their values,
+the labels are shuffled; batches of shuffles scored in one kernel on the
+stream runner) supplies P-values for HC scores on real labeled matrices,
+valid when the features are correlated; a shuffle that reproduces the
+original partition is an exact tie, and one whose feature scores are
+degenerate scores +inf.
 
 Seeds: each Monte Carlo entry point takes an int or an RngSeed and reads it once
 through ``numerics.as_seed`` as ``base`` (an int seed is stream 0); block k of a
@@ -58,18 +61,15 @@ _NULL_STREAMS = 0
 _ALT_STREAMS = 1 << 20
 _CALIB_STREAMS = 1 << 21
 
+# Window elements per row tile of _mixture_batch: 2^16 float64 are 512 KB, so a
+# tile and the kernel's temporaries on it stay inside a 2 MB per-core L2 cache.
+_TILE_ELEMS = 1 << 16
+
 # A shuffle's pooled within-class sum of squares at most this fraction of the
 # feature's total sum of squares counts as zero. tot - (n1 m1^2 + n2 m2^2) leaves a
 # rounding residue of about n*eps*tot, not 0, when a feature is constant within
 # each class; 1e-10 covers that residue up to n ~ 4e5 samples.
 _ZERO_SS = 1e-10
-
-# A shuffle scoring within this fraction of |original| counts as at least the
-# original. The original comes from _matrix_hc_score and the shuffles from the
-# batched kernel, whose rounding differs (up to ~2e-14 relative, and a row's bits
-# depend on its place in the BLAS batch), so a shuffle that reproduces the original
-# partition may score a hair below it. scipy.stats.permutation_test allows 100*eps.
-_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,52 +157,60 @@ def pvalues_two_sided(x) -> PValueSeries:
     return PValueSeries(_sorted_pvalues_two_sided(x))
 
 
-def _null_window(b: int, n, k: int, rng, out: np.ndarray) -> None:
-    """The min(k, n) smallest of n iid Uniform(0, 1), ascending, into out[:, :k].
-
-    ``n`` is one size or an array of b per-row sizes. Renyi's representation:
-    with S the partial sums of k Exp(1) draws, k0 = min(k, n) and
-    G ~ Gamma(n + 1 - k0), U_(1..k0) = S_1..S_k0 / (S_k0 + G). Draws the b*k
-    exponentials, then the b gammas; no n-wide draw, no sort. Values are
-    clamped at MIN_PVALUE; columns k0..k of a row with n < k hold no order
-    statistics.
-    """
-    s = rng.standard_exponential((b, k))
-    np.cumsum(s, axis=1, out=s)
-    k0 = np.reshape(np.minimum(k, n), (-1, 1))
-    total = np.take_along_axis(s, np.broadcast_to(k0 - 1, (b, 1)), axis=1)
-    total += rng.standard_gamma(np.reshape(n, (-1, 1)) + 1 - k0, (b, 1))
-    window = np.divide(s, total, out=out[:, :k])
-    np.maximum(window, MIN_PVALUE, out=window)
-
-
 def _mixture_batch(params, b: int, rng) -> np.ndarray:
     """HC scores of b mixture draws, each made in P-value space.
 
     Per row, m ~ Binomial(n, eps) coordinates are nonnull. The n - m null
-    P-values are uniform, so the min(k, n - m) smallest of them come from
-    ``_null_window``, k = floor(alpha0*n); only the m nonnull P-values go
-    through ndtr, in one call for the batch. Each row's nonnulls are written
-    after its null window and padded with inf to the widest row; a stable
-    sort of that prefix merges them, and the first k columns hold the k
-    smallest; with no nonnulls (eps = 0) the null windows are the rows. RNG
-    use: the b binomials (no bits at eps = 0), the b*k exponentials and the b
-    gammas of the null windows, then the sum(m) normals, row after row.
+    P-values are uniform, so the k0 = min(k, n - m) smallest of them come from
+    Renyi's representation, k = floor(alpha0*n): with S the partial sums of k
+    Exp(1) draws and G ~ Gamma(n - m + 1 - k0), U_(1..k0) = S_1..S_k0 /
+    (S_k0 + G), clamped at MIN_PVALUE; no n-wide draw, no sort. Only the m
+    nonnull P-values go through ndtr, in one call for the batch. RNG use, all
+    made before any other work: the b binomials (no bits at eps = 0), the b*k
+    exponentials, the b gammas, then the sum(m) normals, row after row.
+
+    Everything after the draws runs one row tile at a time (whole rows of
+    about _TILE_ELEMS window elements in all, or one row when k is larger)
+    in one reused buffer n columns wide, so the tiles change neither the
+    draws nor their order: the partial sums and the null window, then the
+    tile's nonnulls, each row's written after its null window and padded
+    with inf to the tile's widest row, merged by a stable sort of that
+    prefix (the first k columns hold the k smallest; with no nonnulls the
+    null windows are the rows), and the HC kernel on the whole tile. A batch
+    holds its b*k exponentials and one tile.
     """
     n, eps, tau, variant, alpha0 = params
     k = _index_range(alpha0, n)
     m = rng.binomial(n, eps, b)
-    out = np.empty((b, n))
-    _null_window(b, n - m, k, rng, out)
+    k0 = np.minimum(k, n - m)
+    s = rng.standard_exponential((b, k))
+    g = rng.standard_gamma(n - m + 1 - k0)
+    # Row r's nonnulls are alt[bounds[r]:bounds[r + 1]], bound for columns k0[r] on.
+    bounds = np.concatenate(([0], np.cumsum(m)))
     if m.any():
-        k0 = np.minimum(k, n - m)
-        alt = clamp_pvalues(ndtr(-tau - rng.standard_normal(m.sum())))
-        width = int((k0 + m).max())
-        out[:, k:width] = np.inf
-        first = np.cumsum(m) - m
-        out[np.repeat(np.arange(b), m), np.arange(alt.size) + np.repeat(k0 - first, m)] = alt
-        out[:, :width].sort(axis=1, kind="stable")
-    return hc_scores_sorted_batch(out, variant, alpha0)
+        alt = clamp_pvalues(ndtr(-tau - rng.standard_normal(bounds[-1])))
+        at_row = np.repeat(np.arange(b), m)
+        at_col = np.arange(alt.size) + np.repeat(k0 - bounds[:-1], m)
+    rows = max(1, _TILE_ELEMS // k)
+    buf = np.empty((min(rows, b), n))
+    scores = np.empty(b)
+    for lo in range(0, b, rows):
+        hi = min(lo + rows, b)
+        p = buf[:hi - lo]
+        part = np.cumsum(s[lo:hi], axis=1, out=s[lo:hi])
+        # A row with k0 = 0 divides by its last partial sum; nonnulls then fill all n columns.
+        total = np.take_along_axis(part, k0[lo:hi, None] - 1, axis=1)
+        total += g[lo:hi, None]
+        window = np.divide(part, total, out=p[:, :k])
+        np.maximum(window, MIN_PVALUE, out=window)
+        j0, j1 = bounds[lo], bounds[hi]
+        if j1 > j0:
+            width = int((k0[lo:hi] + m[lo:hi]).max())
+            p[:, k:width] = np.inf
+            p[at_row[j0:j1] - lo, at_col[j0:j1]] = alt[j0:j1]
+            p[:, :width].sort(axis=1, kind="stable")
+        scores[lo:hi] = hc_scores_sorted_batch(p, variant, alpha0)
+    return scores
 
 
 def _mixture_job(n, eps, tau, variant, alpha0, reps, base: RngSeed):
@@ -308,7 +316,7 @@ class PermutationTestResult:
 
 
 def _shuffle_batch(params, b: int, rng) -> np.ndarray:
-    """HC scores of b label permutations of one matrix, in one batch.
+    """HC scores and tie flags of b label permutations of one matrix, in one batch.
 
     Each shuffle argsorts one row of n uniform keys into a permutation of the
     labels. Both class means of all b shuffles come from (b x n) . (n x p)
@@ -316,12 +324,18 @@ def _shuffle_batch(params, b: int, rng) -> np.ndarray:
     squares is tot - (n1 m1^2 + n2 m2^2), tot being the column sums of squares.
     The two classes are treated alike, so labels and -labels score bit-equal.
     A shuffle with a degenerate feature (_ZERO_SS) or zero spread scores +inf.
+    Returns (b, 2) rows of score and flag; the flag is 1 where the shuffle
+    reproduces the partition: its labels are ``labels``, or ``-labels`` when
+    the classes are of equal size.
     """
     centred, tot, labels, variant, alpha0 = params
     n = centred.shape[0]
     shuffled = labels[np.argsort(rng.random((b, n)), axis=1)]
     n1 = int(np.count_nonzero(labels == 1))
     n2 = n - n1
+    tied = np.all(shuffled == labels, axis=1)
+    if n1 == n2:
+        tied |= np.all(shuffled == -labels, axis=1)
     m1 = (shuffled == 1).astype(float) @ centred
     m1 /= n1
     m2 = (shuffled == -1).astype(float) @ centred
@@ -347,7 +361,7 @@ def _shuffle_batch(params, b: int, rng) -> np.ndarray:
     degenerate |= scale[:, 0] <= 0.0
     scores = hc_scores_sorted_batch(_sorted_pvalues_two_sided(raw), variant, alpha0)
     scores[degenerate] = np.inf
-    return scores
+    return np.column_stack((scores, tied))
 
 
 def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
@@ -360,15 +374,15 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     standardized Z-scores and the HC score are recomputed per shuffle, a batch
     of shuffles in one kernel. The returned P-value is the add-one estimator
     (1 + #{shuffle >= original}) / (shuffles + 1), which never reports 0; a
-    shuffle at most 1e-12 |original| below the original is a tie and counts
-    (the two are scored by different code, so a shuffle that reproduces the
-    original partition can fall below it by rounding). A
-    shuffle has no score and counts as +inf, at least as extreme as the
-    original, so the P-value stays conservative, when some feature's pooled
-    within-class sum of squares is at most 1e-10 of its total sum of squares
-    (zero up to rounding: the feature is constant within each class) or the
-    feature scores have zero spread; the original matrix itself is refused
-    when a pooled variance or the spread is exactly 0.
+    shuffle that reproduces the original partition is a tie and counts
+    whatever its score (the two are scored by different code, so it can fall
+    below the original by rounding); any other counts when its score is at
+    least the original. A shuffle has no score and counts as +inf, at least
+    as extreme as the original, so the P-value stays conservative, when some
+    feature's pooled within-class sum of squares is at most 1e-10 of its total
+    sum of squares (zero up to rounding: the feature is constant within each
+    class) or the feature scores have zero spread; the original matrix itself
+    is refused when a pooled variance or the spread is exactly 0.
     Shuffles run on the stream runner in this process, one stream per
     STREAM_BLOCK shuffles; ``seed`` is an int or an RngSeed. A variant other
     than 'star' or 'plus' is refused before any shuffle.
@@ -381,7 +395,7 @@ def permutation_test(matrix, shuffles: int, seed=0, variant: str = "plus",
     centred = matrix.data - matrix.data.mean(axis=0)
     params = (centred, np.square(centred).sum(axis=0), matrix.labels, variant, alpha0)
     # At its peak the kernel holds about five rows of n or of p elements per shuffle.
-    scores = _streams.run(_shuffle_batch, params, shuffles, STREAM_BLOCK,
-                          5 * sum(centred.shape), base, 1)
-    exceed = int(np.sum(scores >= original - _TIE_RTOL * abs(original)))
+    scores, tied = _streams.run(_shuffle_batch, params, shuffles, STREAM_BLOCK,
+                                5 * sum(centred.shape), base, 1).T
+    exceed = int(np.sum((tied != 0) | (scores >= original)))
     return PermutationTestResult((1 + exceed) / (shuffles + 1), original, scores)

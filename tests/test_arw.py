@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,24 +178,35 @@ def _mixture_batch_reference(params, b, rng):
 _CLAMP_TIES = (0.3, 40.0)
 
 
+def _tile_sizes(monkeypatch, k):
+    # At n = 2000 the default tile holds a whole batch of 64 rows, so the test also runs
+    # with one-row tiles and with tiles of 7 rows (64 = 9 x 7 + 1, 40 = 5 x 7 + 5 split
+    # unevenly), ending on the default.
+    for elems in (1, 7 * k, arw._TILE_ELEMS):
+        monkeypatch.setattr(arw, "_TILE_ELEMS", elems)
+        yield elems
+
+
 @pytest.mark.parametrize("alpha0", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("variant", ["star", "plus"])
 @pytest.mark.parametrize("eps,tau", [(0.0, 0.0), (0.02, 2.5), _CLAMP_TIES])
-def test_mixture_batch_matches_full_transform(alpha0, variant, eps, tau):
+def test_mixture_batch_matches_full_transform(alpha0, variant, eps, tau, monkeypatch):
     params = (2000, eps, tau, variant, alpha0)
-    got = _mixture_batch(params, 64, RngSeed(7, 3).generator())
     want = _mixture_batch_reference(params, 64, RngSeed(7, 3).generator())
-    assert np.array_equal(got, want)
+    for tile in _tile_sizes(monkeypatch, _index_range(alpha0, 2000)):
+        got = _mixture_batch(params, 64, RngSeed(7, 3).generator())
+        assert np.array_equal(got, want), tile
 
 
 @pytest.mark.parametrize("n,eps,alpha0", [(20, 1.0, 0.5), (20, 1.0, 1.0), (20, 0.9, 0.5),
                                            (2000, 0.7, 0.5), (2000, 0.7, 1.0), (1, 0.5, 1.0)])
-def test_mixture_batch_when_nonnulls_crowd_the_window(n, eps, alpha0):
+def test_mixture_batch_when_nonnulls_crowd_the_window(n, eps, alpha0, monkeypatch):
     # m >= n - k + 1 leaves fewer than k null values; eps = 1 leaves none.
     params = (n, eps, 1.5, "star", alpha0)
-    got = _mixture_batch(params, 64, RngSeed(8).generator())
     want = _mixture_batch_reference(params, 64, RngSeed(8).generator())
-    assert np.array_equal(got, want)
+    for tile in _tile_sizes(monkeypatch, _index_range(alpha0, n)):
+        got = _mixture_batch(params, 64, RngSeed(8).generator())
+        assert np.array_equal(got, want), tile
     m = RngSeed(8).generator().binomial(n, eps, 64)
     assert np.any(m >= n - math.floor(alpha0 * n) + 1)
 
@@ -212,15 +224,32 @@ def _renyi_null_reference(n, variant, alpha0, b, rng):
 
 @pytest.mark.parametrize("alpha0", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("variant", ["star", "plus"])
-def test_mixture_batch_at_epsilon_zero_is_the_renyi_null(alpha0, variant):
+def test_mixture_batch_at_epsilon_zero_is_the_renyi_null(alpha0, variant, monkeypatch):
     # The null is the eps = 0 mixture: its binomials use no random bits and
     # nothing is merged, so the one sampler gives Renyi's null bit for bit.
     for n in (1, 2, 3, 10, 37, 999, 1000, 5000):
         if math.floor(alpha0 * n + 1e-9) < 1:
             continue  # an empty index range, refused by both
-        got = _mixture_batch((n, 0.0, 0.0, variant, alpha0), 40, RngSeed(n, 5).generator())
         want = _renyi_null_reference(n, variant, alpha0, 40, RngSeed(n, 5).generator())
-        assert np.array_equal(got, want), n
+        for tile in _tile_sizes(monkeypatch, _index_range(alpha0, n)):
+            got = _mixture_batch((n, 0.0, 0.0, variant, alpha0), 40, RngSeed(n, 5).generator())
+            assert np.array_equal(got, want), (n, tile)
+
+
+def test_mixture_batch_holds_its_exponentials_and_one_tile():
+    # At N = 1e5 one batch of 125 rows draws 125 x 50,000 exponentials (50 MB). Building
+    # every row's window in an N-wide batch array, with the kernel's temporaries on all
+    # rows, peaked at 201 MB; row tiles keep the peak near the exponentials alone.
+    n, b = 100_000, 125
+    _mixture_batch((2000, 0.02, 2.5, "plus", 0.5), 4, RngSeed(1).generator())  # load ndtr
+    rng = RngSeed(2).generator()
+    tracemalloc.start()
+    try:
+        _mixture_batch((n, 0.0, 0.0, "plus", 0.5), b, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * b * _index_range(0.5, n) * 8
 
 
 def test_detection_streams_are_the_calibrate_streams():
@@ -372,8 +401,10 @@ def test_permutation_shuffle_with_zero_pooled_variance_scores_inf(seed):
     scores = res.shuffle_scores
     assert np.all(np.isfinite(scores) | (scores == np.inf))
     assert np.any(scores == np.inf)
-    tie = res.original_score - arw._TIE_RTOL * abs(res.original_score)
-    assert res.pvalue == (1 + int(np.sum(scores >= tie))) / 201
+    labels = np.repeat([1, -1], 4)
+    shuffled = _shuffled_labels(labels, 200, seed)
+    same = np.all(shuffled == labels, axis=1) | np.all(shuffled == -labels, axis=1)
+    assert res.pvalue == (1 + int(np.sum(same | (scores >= res.original_score)))) / 201
 
 
 @pytest.mark.parametrize("variant", ["plus", "star"])

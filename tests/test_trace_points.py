@@ -91,3 +91,29 @@ def test_detection_transforms_only_the_window(capsys):
     transformed = sum(s["elems"] for s in tracer.spans if s["name"] == "arw.ndtr")
     assert transformed == nonnulls.sum() > 0
     assert any(s["name"] == "hc_core.kernel" for s in tracer.spans)
+
+
+def test_kernel_counters_add_up_over_row_tiles(capsys, monkeypatch):
+    # A tile of 8 windows of k = 1000 splits each 20-row batch into 3 kernel calls.
+    # hc_core.kernel_elems_per_s and kernel_bytes sum the spans' elems, which count
+    # k_max = floor(alpha0 * N) per row off the row width, so every call must see
+    # rows N wide and the spans must cover each of the 2 x 20 rows exactly once.
+    spans = _load_spans()
+    widths = []
+    kernel = arw.hc_scores_sorted_batch
+
+    def recorded(p, *args, **kwargs):
+        widths.append(p.shape[1])
+        return kernel(p, *args, **kwargs)
+
+    monkeypatch.setattr(arw, "hc_scores_sorted_batch", recorded)
+    monkeypatch.setattr(arw, "_TILE_ELEMS", 8 * 1000)
+    argv = ["detect-sim", "--n", "2000", "--vartheta", "0.6", "--r", "0.5", "--reps", "20",
+            "--critical", "3.1", "--seed", "1", "--threads", "1"]
+    with spans.Tracer() as tracer:
+        code = dispatch(argv)
+    assert code == 0, capsys.readouterr().err
+    kernels = [s for s in tracer.spans if s["name"] == "hc_core.kernel"]
+    assert len(kernels) == len(widths) == 6
+    assert set(widths) == {2000}
+    assert sum(s["elems"] for s in kernels) == 2 * 20 * 1000
